@@ -185,8 +185,7 @@ def _parse_grid(kind, text):
 def cmd_sweep(args):
     config = _apply_scale_flags(resolve_config(args.config), args)
     grid = _parse_grid(args.kind, args.grid)
-    report = ev.run_sweep(args.kind, grid, config, master_seed=args.seed,
-                          threads=args.threads)
+    report = ev.run_sweep(args.kind, grid, config, master_seed=args.seed)
     out = _out_dir(args)
     report.to_csv(out / f"sweep_{args.kind}.csv")
     report.to_json(out / f"sweep_{args.kind}.json", config)
@@ -243,7 +242,6 @@ def build_parser():
                         help="config JSON path or preset name (reference, mini)")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-base", parents=[common],

@@ -95,8 +95,10 @@ class EvalConfig:
     seed: int = 1234
 
     def validate(self):
-        if self.monte_carlo < 1 or self.test_scale < 1:
-            raise ConfigError("counts must be >= 1")
+        if self.monte_carlo < 1:
+            raise ConfigError("monte carlo count must be >= 1")
+        if self.test_scale < 2:
+            raise ConfigError("test scale must be >= 2 (power control)")
         if len(self.power_sweep_dbm) == 0:
             raise ConfigError("power sweep must be non-empty")
         if self.eval_batch < 2:

@@ -7,6 +7,15 @@ terminal's; the concatenated soft output is aligned with the concatenated
 input [b1 | b2]. Propagation and channel matrices enter the graph as fixed
 constants; the trainable state is the DNN weights, the per-layer phase
 vectors, batchnorm scale/shift, and (optionally) the power allocation.
+
+Once the phases are set, the stacks and the channel are linear in the
+transmitted field. The forward therefore pushes a fixed probe batch, not the
+data batch, through them: one row per complex basis vector of the joint
+transmit vector (x1, x2), A1 + A2 rows in all. Row k of receiver q's output
+is column k of its antenna-to-antenna operator R_q [G_1q T_1 | G_2q T_2],
+which is then applied to the whole batch in a single real matmul. The stack
+cost no longer grows with the batch; gradients reach the phases through the
+probe graph.
 """
 
 import warnings
@@ -363,6 +372,33 @@ def complex_to_pair_batch(matrix):
     return np.concatenate([matrix.real, matrix.imag], axis=-1).astype(float)
 
 
+def probe_batch(arch):
+    """Per-terminal paired probe rows spanning the joint transmit vector.
+
+    Row k is the k-th complex basis vector of (x1, x2): terminal p's block,
+    (A1 + A2, 2 A_p), is the identity on its own antennas and zero elsewhere.
+    """
+    a1, a2 = arch.tx_antennas
+    eye = np.eye(a1 + a2)
+    return complex_to_pair_batch(eye[:, :a1]), complex_to_pair_batch(eye[:, a1:])
+
+
+def apply_operator(joint, columns, n):
+    """Apply a probed complex operator to a joint paired batch.
+
+    `joint` is (B, 2m) in layout [z_re | z_im]; `columns` is (m, 2n), row k
+    holding column k of the (n x m) operator C as [C_re | C_im]. Returns
+    z C^T in paired layout (B, 2n) through the real block matrix
+    [[C_re^T, C_im^T], [-C_im^T, C_re^T]], built from the halves of
+    `columns`.
+    """
+    c_re = ag.slice_axis(columns, 1, 0, n)
+    c_im = ag.slice_axis(columns, 1, n, n)
+    block = ag.concat([ag.concat([c_re, c_im], axis=1),
+                       ag.concat([ag.scale(c_im, -1.0), c_re], axis=1)], axis=0)
+    return ag.matmul(joint, block)
+
+
 # ---------------------------------------------------------------------------
 # model
 # ---------------------------------------------------------------------------
@@ -385,6 +421,7 @@ class Emnn:
             self.rx_factors.append(u)
             self.tx_pairs.append([wf.complex_to_pair(m) for m in v])
             self.rx_pairs.append([wf.complex_to_pair(m) for m in u])
+        self.probes = probe_batch(self.arch)
         if params is None:
             if rng is None:
                 raise ArchitectureError("either params or an rng is required")
@@ -414,6 +451,14 @@ class Emnn:
                 noise=True, noise_override=None):
         """Soft estimates of the full bit block, aligned with [b1 | b2].
 
+        The TX-DNNs and power control act on the batch. The stacks and the
+        channel act on the probe batch (see `probe_batch`): tx stack ->
+        channel -> rx stack yields, per receiver q, the columns of the
+        antenna-to-antenna operator R_q [G_1q T_1 | G_2q T_2], which maps
+        the batch's joint signal [x1_re x2_re | x1_im x2_im] to the receive
+        antennas in one matmul. Receiver noise, the front-end gain and the
+        RX-DNNs then act on the batch.
+
         `noise_override` takes pre-drawn complex noise (one array per
         terminal) so a caller can freeze the whole forward for gradient
         checks; otherwise receiver noise is drawn from `rng` when enabled.
@@ -425,19 +470,26 @@ class Emnn:
                       for key in ch.LINK_ORDER}
 
         sent = []
+        joint_re, joint_im = [], []
         p_alloc = allocate_power(power_dbm, self.arch, self.params)
         for q, p_q in zip((1, 2), p_alloc):
             tp = self.params.terminal(q)
             block = bits[:, :n1] if q == 1 else bits[:, n1:]
             raw = tx_dnn_forward(block, tp)
             x = power_control(raw, p_q)
-            sent.append(tx_sim_forward(x, self.tx_pairs[q - 1], tp.theta))
+            a = self.arch.tx_antennas[q - 1]
+            joint_re.append(ag.slice_axis(x, 1, 0, a))
+            joint_im.append(ag.slice_axis(x, 1, a, a))
+            sent.append(tx_sim_forward(self.probes[q - 1], self.tx_pairs[q - 1],
+                                       tp.theta))
+        joint = ag.concat(joint_re + joint_im, axis=1)
         f1, f2 = channel_layer(sent[0], sent[1], link_pairs)
 
         received = []
         for q, f_q in zip((1, 2), (f1, f2)):
             tp = self.params.terminal(q)
-            r_q = rx_sim_forward(f_q, self.rx_pairs[q - 1], tp.xi)
+            columns = rx_sim_forward(f_q, self.rx_pairs[q - 1], tp.xi)
+            r_q = apply_operator(joint, columns, self.arch.rx_antennas[q - 1])
             if noise_override is not None:
                 r_q = ag.add(r_q, complex_to_pair_batch(noise_override[q - 1]))
             elif noise:

@@ -9,7 +9,6 @@ float.
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,19 +102,21 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
     """BER of one model on one frozen realization at one power.
 
     Runs the forward in evaluation mode (batchnorm running statistics,
-    receiver noise on), hard-decides, and counts errors over `test_scale`
-    symbols. Deterministic for a fixed rng state.
+    receiver noise on), hard-decides, and counts errors over exactly
+    `test_scale` symbols. Deterministic for a fixed rng state.
     """
     if batch_size is None:
         batch_size = model.config.evaluation.eval_batch
+    if test_scale < 2 or batch_size < 2:
+        raise ValueError("power control needs batches of at least 2 symbols")
     total_bits = model.config.total_bits
     errors = 0
     counted = 0
     remaining = int(test_scale)
     while remaining > 0:
         n = min(batch_size, remaining)
-        if n < 2:
-            n = min(2, test_scale)  # power normalization needs a batch
+        if remaining - n == 1:
+            n += 1  # fold a lone leftover symbol into this batch
         bits = rng.integers(0, 2, (n, total_bits)).astype(float)
         soft = model.forward(bits, np.full(n, float(power_dbm)), realization,
                              rng=rng, training=False, noise=True)
@@ -142,7 +143,7 @@ def _eval_one_realization(base, source, index, master_seed, powers, test_scale,
     return rows, tuned.diverged
 
 
-def monte_carlo_eval(base, config=None, master_seed=None, label=None, threads=1):
+def monte_carlo_eval(base, config=None, master_seed=None, label=None):
     """Fine-tune and sweep the power grid over independent realizations.
 
     Each realization gets a derived seed covering its channel innovation,
@@ -158,16 +159,10 @@ def monte_carlo_eval(base, config=None, master_seed=None, label=None, threads=1)
     source = ChannelSource(config)
     report = BerReport()
 
-    def run(index):
-        return _eval_one_realization(base, source, index, master_seed,
-                                     ev.power_sweep_dbm, ev.test_scale, label)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(ev.monte_carlo)))
-    else:
-        results = [run(i) for i in range(ev.monte_carlo)]
-    for rows, diverged in results:
+    for index in range(ev.monte_carlo):
+        rows, diverged = _eval_one_realization(
+            base, source, index, master_seed, ev.power_sweep_dbm,
+            ev.test_scale, label)
         if diverged:
             rows = [BerRow(r.label, r.power_dbm, r.realization, r.seed,
                            r.bits, r.errors, float("nan")) for r in rows]
@@ -216,7 +211,7 @@ def sweep_configs(kind, grid, base_config):
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def run_sweep(kind, grid, base_config, master_seed=None, threads=1):
+def run_sweep(kind, grid, base_config, master_seed=None):
     """Train and evaluate one model per grid point; emit a combined report.
 
     Per-point failures are recorded (nan rows) and the sweep continues.
@@ -225,8 +220,7 @@ def run_sweep(kind, grid, base_config, master_seed=None, threads=1):
     for config in sweep_configs(kind, grid, base_config):
         try:
             base = training.train_base(config)
-            point = monte_carlo_eval(base, config, master_seed=master_seed,
-                                     threads=threads)
+            point = monte_carlo_eval(base, config, master_seed=master_seed)
             report.extend(point.rows)
         except (training.TrainingDiverged, emnn.ArchitectureError):
             for power in config.evaluation.power_sweep_dbm:

@@ -329,6 +329,104 @@ class TestForwardFull:
         assert np.array_equal(emnn.hard_decision(soft), bits.astype(np.int64))
 
 
+def batch_first_forward(model, bits, power_dbm, realization, training, noise):
+    """Oracle: every stage applied to the data batch itself."""
+    arch = model.arch
+    n1 = arch.n_bits[0]
+    link_pairs = {key: wf.complex_to_pair(realization.link(*key))
+                  for key in ch.LINK_ORDER}
+    sent = []
+    p_alloc = emnn.allocate_power(power_dbm, arch, model.params)
+    for q, p_q in zip((1, 2), p_alloc):
+        tp = model.params.terminal(q)
+        block = bits[:, :n1] if q == 1 else bits[:, n1:]
+        x = emnn.power_control(emnn.tx_dnn_forward(block, tp), p_q)
+        sent.append(emnn.tx_sim_forward(x, model.tx_pairs[q - 1], tp.theta))
+    fields = emnn.channel_layer(sent[0], sent[1], link_pairs)
+    received = []
+    for q, f_q in zip((1, 2), fields):
+        tp = model.params.terminal(q)
+        r_q = emnn.rx_sim_forward(f_q, model.rx_pairs[q - 1], tp.xi)
+        r_q = ag.add(r_q, emnn.complex_to_pair_batch(noise[q - 1]))
+        received.append(emnn.rx_dnn_forward(ag.scale(r_q, model.rx_scale), tp,
+                                            training))
+    return ag.concat([received[1], received[0]], axis=1)
+
+
+def lopsided_config():
+    """Unequal antenna counts and units, L != K, trainable power split."""
+    from dataclasses import replace
+    from simfd.wavefield import TerminalLayout
+    mini = miniature_config()
+    terminals = (TerminalLayout((2, 2), (1, 2), (3, 3), (4, 4), 2, 1),
+                 TerminalLayout((1, 3), (2, 1), (2, 2), (3, 3), 1, 3))
+    geom = replace(mini.geometry, terminals=terminals)
+    return replace(mini, geometry=geom, n_bits=(5, 3),
+                   trainable_power=True).validate()
+
+
+def operator_cases():
+    from simfd.evaluation import baseline_conventional
+    return {"reference": reference_config(), "mini": miniature_config(),
+            "lopsided": lopsided_config(),
+            "conventional": baseline_conventional(miniature_config())}
+
+
+class TestOperatorFirst:
+    @pytest.mark.parametrize("train_mode", [True, False])
+    @pytest.mark.parametrize("case", ["reference", "mini", "lopsided",
+                                      "conventional"])
+    def test_matches_batch_first_oracle(self, case, train_mode):
+        cfg = operator_cases()[case]
+        rng = np.random.default_rng(40)
+        params = emnn.Emnn(cfg, rng=rng).params
+        real = ch.ChannelSource(cfg).instantaneous(41)
+        batch = 24
+        bits = rng.integers(0, 2, (batch, cfg.total_bits)).astype(float)
+        # low powers keep the untrained decoder's sigmoid out of saturation
+        # in eval mode, so no gradient is cut by the clamped log
+        power = rng.uniform(-30.0, -10.0, batch)
+        noise_var = ch.dbm_to_watt(cfg.channel.noise_dbm)
+        noise = [ch.draw_noise(noise_var, (batch, a), rng)
+                 for a in emnn.build(cfg).rx_antennas]
+
+        results = []
+        for oracle in (False, True):
+            model = emnn.Emnn(cfg, params=params.copy())
+            if oracle:
+                soft = batch_first_forward(model, bits, power, real, train_mode,
+                                           noise)
+            else:
+                soft = model.forward(bits, power, real, training=train_mode,
+                                     noise_override=noise)
+            ag.backward(training.bce_loss(bits, soft))
+            grads = {k: t.grad.copy()
+                     for k, t in model.params.named_tensors().items()}
+            results.append((soft.data, grads))
+        (soft, grads), (want, want_grads) = results
+
+        assert np.linalg.norm(soft - want) <= 1e-12 * np.linalg.norm(want)
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            scale = max(np.linalg.norm(g), 1e-300)
+            assert np.linalg.norm(grads[name] - g) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("batch", [4, 512])
+    def test_stack_work_independent_of_batch(self, mini, mini_realization, batch):
+        model = emnn.Emnn(mini, rng=np.random.default_rng(42))
+        rng = np.random.default_rng(43)
+        bits = rng.integers(0, 2, (batch, mini.total_bits)).astype(float)
+        soft = model.forward(bits, np.full(batch, 25.0), mini_realization,
+                             rng=rng, training=True, noise=True)
+        loss = training.bce_loss(bits, soft)
+        probes = sum(model.arch.tx_antennas)
+        stack_nodes = [node for node in ag.topo_order(loss)
+                       if node.op in ("complex_matmul", "phase_diag")]
+        # 2 terminals x (2 tx + 2 rx layers) x 2 ops, plus 4 channel links
+        assert len(stack_nodes) == 2 * 4 * 2 + 4
+        assert all(node.data.shape[0] == probes for node in stack_nodes)
+
+
 class TestPhaseExport:
     def test_table_format_and_range(self, mini_model):
         text = emnn.export_phase_table(mini_model.params)

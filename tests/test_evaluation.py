@@ -10,7 +10,7 @@ import simfd.evaluation as ev
 import simfd.training as training
 from dataclasses import replace
 from simfd.channel import ChannelSource
-from simfd.config import miniature_config, save_config
+from simfd.config import ConfigError, miniature_config, save_config
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,25 @@ class TestEvaluate:
                                       np.random.default_rng(6))
         assert bits == 777 * quick_config.total_bits
 
+    def test_lone_leftover_symbol_is_folded_not_padded(self):
+        cfg = miniature_config()
+        model = emnn.Emnn(cfg, rng=np.random.default_rng(7))
+        real = ChannelSource(cfg).instantaneous(1)
+        _, bits, _ = ev.evaluate(model, real, 30.0, 2049,
+                                 np.random.default_rng(8), batch_size=2048)
+        assert bits == 2049 * cfg.total_bits
+
+    def test_rejects_single_symbol_batches(self, quick_config):
+        model = emnn.Emnn(quick_config, rng=np.random.default_rng(3))
+        real = ChannelSource(quick_config).instantaneous(1)
+        with pytest.raises(ValueError):
+            ev.evaluate(model, real, 30.0, 1, np.random.default_rng(4))
+
+    def test_config_rejects_test_scale_below_two(self, quick_config):
+        with pytest.raises(ConfigError):
+            replace(quick_config, evaluation=replace(
+                quick_config.evaluation, test_scale=1)).validate()
+
 
 class TestMonteCarlo:
     def test_row_counts_and_aggregates(self, quick_base, quick_config):
@@ -109,12 +128,6 @@ class TestMonteCarlo:
         assert again.errors == row.errors
         assert again.bits == row.bits
         assert again.ber == row.ber
-
-    def test_threads_match_sequential(self, quick_base):
-        seq = ev.monte_carlo_eval(quick_base, threads=1)
-        par = ev.monte_carlo_eval(quick_base, threads=2)
-        assert [(r.seed, r.errors) for r in seq.rows] == \
-            [(r.seed, r.errors) for r in par.rows]
 
 
 class TestReportFormats:
