@@ -6,6 +6,8 @@ Run: python demos/01_wave_propagation.py
 
 import numpy as np
 
+import simfd.autograd as ag
+import simfd.emnn as emnn
 import simfd.wavefield as wf
 from simfd.config import miniature_config
 
@@ -35,22 +37,26 @@ for off in offsets:
     print(f"  lateral offset {off / lam:.1f} lambda: |v| = {abs(v):.4f}")
 
 # --- full stack operators -----------------------------------------------------
+# the network's own stage functions compose each operator: started from the
+# identity on the antennas, the TX stage yields T^T and the RX stage R^T
 rng = np.random.default_rng(0)
 term = geom.terminal(1)
+factors = wf.build_tx_factors(geom, 1)
+antennas_eye = ag.Tensor(np.eye(term.tx_antennas, dtype=complex))
 thetas = [rng.uniform(0, 2 * np.pi, term.tx_units) for _ in range(term.tx_layers)]
-op = wf.tx_operator(geom, 1, thetas)
-t_mat = wf.tx_propagation(op)
+t_mat = emnn.tx_sim_forward(antennas_eye, factors, thetas).data.T
 print(f"\nTX operator shape {t_mat.shape} "
       f"(units x antennas), layers = {term.tx_layers}")
 sv = np.linalg.svd(t_mat, compute_uv=False)
 print(f"singular values: {np.round(sv, 3)}")
 
 # phases only steer energy, they never create it: compare against zero phases
-flat = wf.tx_propagation(wf.tx_operator(geom, 1, [np.zeros(term.tx_units)
-                                                  for _ in range(term.tx_layers)]))
+zeros = [np.zeros(term.tx_units) for _ in range(term.tx_layers)]
+flat = emnn.tx_sim_forward(antennas_eye, factors, zeros).data.T
 print(f"zero-phase operator Frobenius norm  {np.linalg.norm(flat):.4f}")
 print(f"random-phase operator Frobenius norm {np.linalg.norm(t_mat):.4f}")
 
-r_mat = wf.rx_propagation(wf.rx_operator(geom, 1, [np.zeros(term.rx_units)
-                                                   for _ in range(term.rx_layers)]))
+units_eye = ag.Tensor(np.eye(term.rx_units, dtype=complex))
+r_mat = emnn.rx_sim_forward(units_eye, wf.build_rx_factors(geom, 1),
+                            [np.zeros(term.rx_units) for _ in range(term.rx_layers)]).data.T
 print(f"\nRX operator shape {r_mat.shape} (antennas x units)")

@@ -1,6 +1,6 @@
-"""The reverse-mode engine underneath the trainable network: paired-real
-complex arithmetic, a tiny end-to-end gradient, and the full-network
-finite-difference check.
+"""The reverse-mode engine underneath the trainable network: complex
+fields with real phase gradients, a tiny end-to-end gradient, and the
+full-network finite-difference check.
 
 Run: python demos/03_autodiff_and_gradcheck.py
 """
@@ -13,16 +13,22 @@ from simfd.config import miniature_config
 
 rng = np.random.default_rng(0)
 
-# --- paired-real complex arithmetic --------------------------------------------
-z = rng.standard_normal((1, 6))          # three complex entries as [re | im]
+# --- complex fields -----------------------------------------------------------
+z = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
 theta = ag.Tensor(np.array([0.0, np.pi / 2, np.pi]), requires_grad=True)
-rotated = ag.phase_diag_apply(theta, ag.Tensor(z))
-print("input pairs:   ", np.round(z, 3))
+rotated = ag.phase_shift(ag.Tensor(z), theta)
+print("input field:   ", np.round(z, 3))
 print("rotated by diag(exp(j theta)):", np.round(rotated.data, 3))
 
+
 # --- a small trainable graph ----------------------------------------------------
+# the rotated field meets a real layer as paired rows [re | im]
+def forward():
+    return ag.sigmoid(ag.matmul(ag.to_pair(ag.phase_shift(ag.Tensor(z), theta)), w))
+
+
 w = ag.Tensor(rng.standard_normal((6, 2)) * 0.5, requires_grad=True, name="w")
-out = ag.sigmoid(ag.matmul(ag.phase_diag_apply(theta, ag.Tensor(z)), w))
+out = forward()
 target = np.array([[1.0, 0.0]])
 hit = ag.hadamard(target, ag.log(out))
 miss = ag.hadamard(1.0 - target, ag.log(ag.sub(1.0, out)))
@@ -39,7 +45,7 @@ for i in range(3):
     keep = theta.data[i]
     for sign in (+1, -1):
         theta.data[i] = keep + sign * h
-        y = ag.sigmoid(ag.matmul(ag.phase_diag_apply(theta, ag.Tensor(z)), w))
+        y = forward()
         l_val = -(target * np.log(y.data)
                   + (1 - target) * np.log(1 - y.data)).sum()
         fd[i] += sign * l_val / (2 * h)

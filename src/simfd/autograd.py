@@ -1,9 +1,12 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense arrays.
 
-Complex signals are carried as paired real tensors: a complex row vector of
-length n is stored as a real row of length 2n, real parts first, imaginary
-parts second. The two fused complex primitives (complex_matmul,
-phase_diag_apply) operate on that layout directly so the graph stays small.
+A node holds float64 or complex128 data. The loss is real; for a complex
+node, `grad` holds dL/dRe + j dL/dIm (the CR-calculus convention of
+Kreutz-Delgado, "The Complex Gradient Operator and the CR-Calculus",
+arXiv:0906.4835); under it a linear map backpropagates through its
+conjugate transpose. Real and complex nodes meet only in `phase_shift`
+(real phases) and in `to_complex` / `to_pair`, which cross between complex
+fields and the paired real rows [re | im] of the digital networks.
 """
 
 import warnings
@@ -42,7 +45,9 @@ class Tensor:
                  "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, name=None, decay=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data.astype(np.complex128 if np.iscomplexobj(data) else np.float64,
+                                copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self.decay = decay
@@ -65,9 +70,7 @@ class Tensor:
 
 
 def _lift(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(data, parents, backward, op=None):
@@ -168,10 +171,11 @@ def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise GraphError(f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
     def bw(out):
+        # conj() of a real array is the array itself
         if a.requires_grad:
-            a.grad += out.grad @ b.data.T
+            a.grad += out.grad @ b.data.conj().T
         if b.requires_grad:
-            b.grad += a.data.T @ out.grad
+            b.grad += a.data.conj().T @ out.grad
     return _result(a.data @ b.data, (a, b), bw, op="matmul")
 
 
@@ -341,61 +345,55 @@ def batchnorm(x, gamma, beta, state, training):
 
 
 # ---------------------------------------------------------------------------
-# paired-real complex primitives
+# complex fields
 # ---------------------------------------------------------------------------
 
-def complex_matmul(m_re, m_im, x):
-    """Apply an (m x n) complex matrix to batched paired signals (B, 2n).
+def phase_shift(x, theta):
+    """Column phases y = x diag(exp(j theta)) on complex rows (B, n).
 
-    Computes y = M z as four real matmuls:
-    y_re = z_re A_re^T - z_im A_im^T, y_im = z_re A_im^T + z_im A_re^T.
-    The matrix halves may be constants (ndarray) or trainable Tensors.
+    Unit modulus, so every row keeps its norm; theta is unconstrained real
+    and receives dL/dtheta = sum over rows of Im(g conj(y)).
     """
-    m_re, m_im, x = _lift(m_re), _lift(m_im), _lift(x)
-    rows, cols = m_re.data.shape
-    if m_im.data.shape != (rows, cols):
-        raise GraphError("complex matrix halves must share a shape")
-    if x.data.ndim != 2 or x.data.shape[1] != 2 * cols:
-        raise GraphError(f"paired input width {x.data.shape} does not match 2x{cols}")
-    xr, xi = x.data[:, :cols], x.data[:, cols:]
-    yr = xr @ m_re.data.T - xi @ m_im.data.T
-    yi = xr @ m_im.data.T + xi @ m_re.data.T
-
-    def bw(out):
-        gr, gi = out.grad[:, :rows], out.grad[:, rows:]
-        if x.requires_grad:
-            x.grad[:, :cols] += gr @ m_re.data + gi @ m_im.data
-            x.grad[:, cols:] += -gr @ m_im.data + gi @ m_re.data
-        if m_re.requires_grad:
-            m_re.grad += gr.T @ xr + gi.T @ xi
-        if m_im.requires_grad:
-            m_im.grad += gi.T @ xr - gr.T @ xi
-    return _result(np.concatenate([yr, yi], axis=1), (m_re, m_im, x), bw, op="complex_matmul")
-
-
-def phase_diag_apply(theta, x):
-    """Unit-modulus diagonal phase layer on paired signals (B, 2n).
-
-    y_re = cos(t) x_re - sin(t) x_im, y_im = sin(t) x_re + cos(t) x_im; exact
-    backward for both the phases and the signal. theta is unconstrained real.
-    """
-    theta, x = _lift(theta), _lift(x)
-    n = theta.data.shape[-1]
-    if theta.data.ndim != 1 or x.data.ndim != 2 or x.data.shape[1] != 2 * n:
+    x, theta = _lift(x), _lift(theta)
+    if x.data.ndim != 2 or theta.data.shape != (x.data.shape[1],):
         raise GraphError(f"phase length {theta.data.shape} does not match input {x.data.shape}")
-    c, s = np.cos(theta.data), np.sin(theta.data)
-    xr, xi = x.data[:, :n], x.data[:, n:]
-    yr = c * xr - s * xi
-    yi = s * xr + c * xi
+    rot = np.exp(1j * theta.data)
+    y = x.data * rot
 
     def bw(out):
-        gr, gi = out.grad[:, :n], out.grad[:, n:]
         if theta.requires_grad:
-            theta.grad += (gr * (-s * xr - c * xi) + gi * (c * xr - s * xi)).sum(axis=0)
+            theta.grad += (out.grad * y.conj()).imag.sum(axis=0)
         if x.requires_grad:
-            x.grad[:, :n] += gr * c + gi * s
-            x.grad[:, n:] += -gr * s + gi * c
-    return _result(np.concatenate([yr, yi], axis=1), (theta, x), bw, op="phase_diag")
+            x.grad += out.grad * rot.conj()
+    return _result(y, (x, theta), bw, op="phase")
+
+
+def to_complex(x):
+    """Paired real rows [re | im] (B, 2n) as complex rows (B, n)."""
+    x = _lift(x)
+    if x.data.ndim != 2 or x.data.shape[1] % 2:
+        raise GraphError(f"paired rows need an even width, got {x.data.shape}")
+    n = x.data.shape[1] // 2
+
+    def bw(out):
+        if x.requires_grad:
+            x.grad[:, :n] += out.grad.real
+            x.grad[:, n:] += out.grad.imag
+    z = np.empty((x.data.shape[0], n), dtype=np.complex128)
+    z.real, z.imag = x.data[:, :n], x.data[:, n:]
+    return _result(z, (x,), bw, op="to_complex")
+
+
+def to_pair(z):
+    """Complex rows (B, n) as paired real rows [re | im] (B, 2n)."""
+    z = _lift(z)
+    n = z.data.shape[1]
+
+    def bw(out):
+        if z.requires_grad:
+            z.grad += out.grad[:, :n] + 1j * out.grad[:, n:]
+    return _result(np.concatenate([z.data.real, z.data.imag], axis=1), (z,), bw,
+                   op="to_pair")
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,6 @@ class PathLossParams:
             raise ChannelError("shadowing std must be >= 0")
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Receiver noise power; dBm on the wire, linear watts internally."""
-
-    power_dbm: float
-
-    @property
-    def power_linear(self):
-        return dbm_to_watt(self.power_dbm)
-
-
 @dataclass
 class CorrelationMatrices:
     """Per-terminal spatial correlation on the channel-facing layers."""

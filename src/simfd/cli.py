@@ -218,10 +218,14 @@ def cmd_physics_dump(args):
         else:
             theta = [np.zeros(term.tx_units) for _ in range(term.tx_layers)]
             xi = [np.zeros(term.rx_units) for _ in range(term.rx_layers)]
-        t_op = wf.tx_propagation(wf.tx_operator(geom, q, theta))
-        r_op = wf.rx_propagation(wf.rx_operator(geom, q, xi))
-        matrix_to_csv(out / f"t{q}_tx_operator.csv", t_op)
-        matrix_to_csv(out / f"t{q}_rx_operator.csv", r_op)
+        # the forward's stage functions, started from identities, give T^T, R^T
+        rx_width = term.rx_units if term.rx_layers else term.rx_antennas
+        t_op = emnn.tx_sim_forward(ag.Tensor(np.eye(term.tx_antennas, dtype=complex)),
+                                   wf.build_tx_factors(geom, q), theta)
+        r_op = emnn.rx_sim_forward(ag.Tensor(np.eye(rx_width, dtype=complex)),
+                                   wf.build_rx_factors(geom, q), xi)
+        matrix_to_csv(out / f"t{q}_tx_operator.csv", t_op.data.T)
+        matrix_to_csv(out / f"t{q}_rx_operator.csv", r_op.data.T)
     for q, corr in correlation_bundle(geom).items():
         matrix_to_csv(out / f"t{q}_corr_tx.csv", corr.tx)
         matrix_to_csv(out / f"t{q}_corr_rx.csv", corr.rx)

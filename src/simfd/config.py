@@ -208,6 +208,10 @@ class SystemConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _optional(kind, value):
+    return None if value is None else kind(value)
+
+
 def config_from_dict(doc):
     try:
         system = doc["system"]
@@ -257,8 +261,8 @@ def config_from_dict(doc):
             power_beta=float(train_doc.get("power_beta", 2.0)),
             power_min_dbm=float(prange[0]),
             power_max_dbm=float(prange[1]),
-            finetune_epochs=train_doc.get("finetune_epochs"),
-            finetune_lr=train_doc.get("finetune_lr"),
+            finetune_epochs=_optional(int, train_doc.get("finetune_epochs")),
+            finetune_lr=_optional(float, train_doc.get("finetune_lr")),
             restarts=int(train_doc.get("restarts", 1)),
             seed=int(train_doc.get("seed", 1)),
         )
@@ -280,7 +284,7 @@ def config_from_dict(doc):
             trainable_power=bool(train_doc.get("trainable_power", False)),
             label=str(system.get("label", "config")),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed config document: {exc}") from exc
     return cfg.validate()
 

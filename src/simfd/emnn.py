@@ -1,21 +1,22 @@
 """End-to-end network: TX-DNN, power control, TX/RX stack layers, channel,
 RX-DNN, for both terminals in one differentiable graph.
 
-Signals between the digital front-ends are paired real tensors (see
-autograd). Terminal q transmits its own bit stream and decodes the other
-terminal's; the concatenated soft output is aligned with the concatenated
-input [b1 | b2]. Propagation and channel matrices enter the graph as fixed
-constants; the trainable state is the DNN weights, the per-layer phase
-vectors, batchnorm scale/shift, and (optionally) the power allocation.
+Terminal q transmits its own bit stream and decodes the other terminal's;
+the concatenated soft output is aligned with the concatenated input
+[b1 | b2]. The digital networks work on paired real rows [re | im]; the
+stacks and the channel are complex128 (see autograd). Propagation and
+channel matrices enter the graph as fixed constants; the trainable state is
+the DNN weights, the per-layer phase vectors, batchnorm scale/shift, and
+(optionally) the power allocation.
 
 Once the phases are set, the stacks and the channel are linear in the
-transmitted field. The forward therefore pushes a fixed probe batch, not the
-data batch, through them: one row per complex basis vector of the joint
-transmit vector (x1, x2), A1 + A2 rows in all. Row k of receiver q's output
-is column k of its antenna-to-antenna operator R_q [G_1q T_1 | G_2q T_2],
-which is then applied to the whole batch in a single real matmul. The stack
-cost no longer grows with the batch; gradients reach the phases through the
-probe graph.
+transmitted field, so the forward composes each receiver's
+antenna-to-antenna operator H_q = R_q [G_1q T_1 | G_2q T_2] instead of
+pushing the data batch through them. The stage functions act on complex
+rows; started from the identity on the transmit antennas they yield the
+transposed operators T_p^T, [T_1^T G_1q^T ; T_2^T G_2q^T] and H_q^T. The
+joint complex batch (x1, x2) then meets H_q^T in one matmul, so the stack
+cost does not grow with the batch.
 """
 
 import warnings
@@ -197,17 +198,6 @@ class EmnnParams:
             dst.rx_bn = [st.copy() for st in src.rx_bn]
         return clone
 
-    def exported_phases(self):
-        """Phases wrapped to [0, 2 pi), keyed like named_tensors."""
-        out = {}
-        for q in (1, 2):
-            tp = self.terminals[q - 1]
-            for i, th in enumerate(tp.theta, 1):
-                out[f"t{q}.theta{i}"] = wf.wrap_phase(th.data)
-            for i, xi in enumerate(tp.xi, 1):
-                out[f"t{q}.xi{i}"] = wf.wrap_phase(xi.data)
-        return out
-
 
 def _clone(t):
     out = ag.Tensor(t.data.copy(), requires_grad=t.requires_grad,
@@ -323,31 +313,37 @@ def power_control(raw, per_antenna_power, eps=POWER_EPS):
     return ag.hadamard(raw, ag.concat([per_stream, per_stream], axis=1))
 
 
-def tx_sim_forward(x, factor_pairs, thetas):
-    """Alternate fixed transmission layers and trainable phase layers."""
-    for (re, im), theta in zip(factor_pairs, thetas):
-        x = ag.phase_diag_apply(theta, ag.complex_matmul(re, im, x))
+def tx_sim_forward(x, factors, thetas):
+    """TX stack on complex rows: x V_1^T Phi_1 ... V_L^T Phi_L.
+
+    From the identity on the antennas this composes T^T, with
+    T = Phi_L V_L ... Phi_1 V_1 mapping the antennas to the last layer.
+    """
+    for v, theta in zip(factors, thetas):
+        x = ag.phase_shift(ag.matmul(x, v.T), theta)
     return x
 
 
-def rx_sim_forward(y, factor_pairs, xis):
-    """Receive stack: phase layer K first, transmission toward the antennas."""
-    for (re, im), xi in zip(reversed(factor_pairs), reversed(xis)):
-        y = ag.complex_matmul(re, im, ag.phase_diag_apply(xi, y))
+def rx_sim_forward(y, factors, xis):
+    """RX stack on complex rows: phase layer K first, transmission toward
+    the antennas, y Psi_K U_K^T ... Psi_1 U_1^T = y R^T with
+    R = U_1 Psi_1 ... U_K Psi_K."""
+    for u, xi in zip(reversed(factors), reversed(xis)):
+        y = ag.matmul(ag.phase_shift(y, xi), u.T)
     return y
 
 
-def channel_layer(s1, s2, link_pairs):
-    """Superpose cross-link and self-interference arrivals at both receivers.
+def channel_layer(t1, t2, realization):
+    """Arrivals at both receivers, one row per joint transmit basis vector.
 
-    field_q = G_pq s_p + G_qq s_q; a fixed, non-trainable block. Receiver
-    noise is injected after the receive stack (see Emnn.forward).
+    Receiver q sees G_1q s_1 + G_2q s_2; with the TX operators T_p^T as
+    rows its operator is [T_1^T G_1q^T ; T_2^T G_2q^T] (A1 + A2 rows). A
+    fixed, non-trainable block; receiver noise is injected after the
+    receive stack (see Emnn.forward).
     """
-    f1 = ag.add(ag.complex_matmul(*link_pairs[(1, 1)], s1),
-                ag.complex_matmul(*link_pairs[(2, 1)], s2))
-    f2 = ag.add(ag.complex_matmul(*link_pairs[(1, 2)], s1),
-                ag.complex_matmul(*link_pairs[(2, 2)], s2))
-    return f1, f2
+    return tuple(ag.concat([ag.matmul(t1, realization.link(1, q).T),
+                            ag.matmul(t2, realization.link(2, q).T)], axis=0)
+                 for q in (1, 2))
 
 
 def rx_dnn_forward(y, tp, training):
@@ -366,39 +362,6 @@ def hard_decision(soft):
     return (soft >= 0.5).astype(np.int64)
 
 
-def complex_to_pair_batch(matrix):
-    """(B, n) complex -> (B, 2n) paired real."""
-    matrix = np.asarray(matrix)
-    return np.concatenate([matrix.real, matrix.imag], axis=-1).astype(float)
-
-
-def probe_batch(arch):
-    """Per-terminal paired probe rows spanning the joint transmit vector.
-
-    Row k is the k-th complex basis vector of (x1, x2): terminal p's block,
-    (A1 + A2, 2 A_p), is the identity on its own antennas and zero elsewhere.
-    """
-    a1, a2 = arch.tx_antennas
-    eye = np.eye(a1 + a2)
-    return complex_to_pair_batch(eye[:, :a1]), complex_to_pair_batch(eye[:, a1:])
-
-
-def apply_operator(joint, columns, n):
-    """Apply a probed complex operator to a joint paired batch.
-
-    `joint` is (B, 2m) in layout [z_re | z_im]; `columns` is (m, 2n), row k
-    holding column k of the (n x m) operator C as [C_re | C_im]. Returns
-    z C^T in paired layout (B, 2n) through the real block matrix
-    [[C_re^T, C_im^T], [-C_im^T, C_re^T]], built from the halves of
-    `columns`.
-    """
-    c_re = ag.slice_axis(columns, 1, 0, n)
-    c_im = ag.slice_axis(columns, 1, n, n)
-    block = ag.concat([ag.concat([c_re, c_im], axis=1),
-                       ag.concat([ag.scale(c_im, -1.0), c_re], axis=1)], axis=0)
-    return ag.matmul(joint, block)
-
-
 # ---------------------------------------------------------------------------
 # model
 # ---------------------------------------------------------------------------
@@ -410,18 +373,8 @@ class Emnn:
         self.config = config
         self.arch = build(config)
         geom = config.geometry
-        self.tx_pairs = []
-        self.rx_pairs = []
-        self.tx_factors = []
-        self.rx_factors = []
-        for q in (1, 2):
-            v = wf.build_tx_factors(geom, q)
-            u = wf.build_rx_factors(geom, q)
-            self.tx_factors.append(v)
-            self.rx_factors.append(u)
-            self.tx_pairs.append([wf.complex_to_pair(m) for m in v])
-            self.rx_pairs.append([wf.complex_to_pair(m) for m in u])
-        self.probes = probe_batch(self.arch)
+        self.tx_factors = [wf.build_tx_factors(geom, q) for q in (1, 2)]
+        self.rx_factors = [wf.build_rx_factors(geom, q) for q in (1, 2)]
         if params is None:
             if rng is None:
                 raise ArchitectureError("either params or an rng is required")
@@ -451,13 +404,12 @@ class Emnn:
                 noise=True, noise_override=None):
         """Soft estimates of the full bit block, aligned with [b1 | b2].
 
-        The TX-DNNs and power control act on the batch. The stacks and the
-        channel act on the probe batch (see `probe_batch`): tx stack ->
-        channel -> rx stack yields, per receiver q, the columns of the
-        antenna-to-antenna operator R_q [G_1q T_1 | G_2q T_2], which maps
-        the batch's joint signal [x1_re x2_re | x1_im x2_im] to the receive
+        The TX-DNNs and power control act on the batch. tx stack ->
+        channel -> rx stack compose, per receiver q, the transposed
+        antenna-to-antenna operator H_q^T (see the module docstring), which
+        maps the batch's joint complex signal (x1, x2) to the receive
         antennas in one matmul. Receiver noise, the front-end gain and the
-        RX-DNNs then act on the batch.
+        RX-DNNs then act on the paired batch.
 
         `noise_override` takes pre-drawn complex noise (one array per
         terminal) so a caller can freeze the whole forward for gradient
@@ -466,39 +418,33 @@ class Emnn:
         self.check_realization(realization)
         bits = np.asarray(bits, dtype=float)
         n1 = self.arch.n_bits[0]
-        link_pairs = {key: wf.complex_to_pair(realization.link(*key))
-                      for key in ch.LINK_ORDER}
 
-        sent = []
-        joint_re, joint_im = [], []
+        joint, sent = [], []
         p_alloc = allocate_power(power_dbm, self.arch, self.params)
         for q, p_q in zip((1, 2), p_alloc):
             tp = self.params.terminal(q)
             block = bits[:, :n1] if q == 1 else bits[:, n1:]
             raw = tx_dnn_forward(block, tp)
-            x = power_control(raw, p_q)
-            a = self.arch.tx_antennas[q - 1]
-            joint_re.append(ag.slice_axis(x, 1, 0, a))
-            joint_im.append(ag.slice_axis(x, 1, a, a))
-            sent.append(tx_sim_forward(self.probes[q - 1], self.tx_pairs[q - 1],
-                                       tp.theta))
-        joint = ag.concat(joint_re + joint_im, axis=1)
-        f1, f2 = channel_layer(sent[0], sent[1], link_pairs)
+            joint.append(ag.to_complex(power_control(raw, p_q)))
+            eye = np.eye(self.arch.tx_antennas[q - 1], dtype=complex)
+            sent.append(tx_sim_forward(eye, self.tx_factors[q - 1], tp.theta))
+        joint = ag.concat(joint, axis=1)
+        fields = channel_layer(sent[0], sent[1], realization)
 
         received = []
-        for q, f_q in zip((1, 2), (f1, f2)):
+        for q, f_q in zip((1, 2), fields):
             tp = self.params.terminal(q)
-            columns = rx_sim_forward(f_q, self.rx_pairs[q - 1], tp.xi)
-            r_q = apply_operator(joint, columns, self.arch.rx_antennas[q - 1])
+            h_q = rx_sim_forward(f_q, self.rx_factors[q - 1], tp.xi)
+            r_q = ag.to_pair(ag.matmul(joint, h_q))
             if noise_override is not None:
-                r_q = ag.add(r_q, complex_to_pair_batch(noise_override[q - 1]))
+                r_q = ag.add(r_q, wf.complex_to_pair(noise_override[q - 1]))
             elif noise:
                 if rng is None:
                     raise ArchitectureError("noise requested but no rng given")
                 n_q = ch.draw_noise(ch.dbm_to_watt(self.config.channel.noise_dbm),
                                     (bits.shape[0], self.arch.rx_antennas[q - 1]),
                                     rng)
-                r_q = ag.add(r_q, complex_to_pair_batch(n_q))
+                r_q = ag.add(r_q, wf.complex_to_pair(n_q))
             received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale), tp,
                                            training))
         # terminal 2 outputs the estimate of stream 1 and vice versa

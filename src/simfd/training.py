@@ -1,4 +1,4 @@
-"""Loss, optimizer, initialization, batch generation, the base/fine-tune
+"""Loss, optimizer, batch generation, the base/fine-tune
 transfer-learning workflow, and checkpoint persistence.
 
 Base training redraws the channel every batch (statistical operation);
@@ -32,7 +32,7 @@ class CheckpointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# loss / init / optimizer / schedule
+# loss / optimizer / schedule
 # ---------------------------------------------------------------------------
 
 def bce_loss(bits, soft):
@@ -43,14 +43,6 @@ def bce_loss(bits, soft):
     hit = ag.hadamard(b, ag.log(soft))
     miss = ag.hadamard(1.0 - b, ag.log(ag.sub(1.0, soft)))
     return ag.scale(ag.reduce_sum(ag.add(hit, miss)), -1.0 / b.shape[0])
-
-
-def xavier_init(shape, rng):
-    """Uniform Xavier/Glorot weight tensor for a 2-D shape."""
-    if len(shape) != 2:
-        raise ValueError("xavier_init expects a 2-D weight shape")
-    lim = emnn.xavier_limit(shape[0], shape[1])
-    return ag.Tensor(rng.uniform(-lim, lim, shape), requires_grad=True, decay=True)
 
 
 def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -205,47 +197,62 @@ def save_checkpoint(ck, path):
             fh.write(f"{int(e)},{loss!r},{lr!r}\n")
 
 
+def _read_exact(fh, count, what):
+    raw = fh.read(count)
+    if len(raw) != count:
+        raise CheckpointError(f"truncated {what}")
+    return raw
+
+
 def load_checkpoint(path):
+    """Read a checkpoint; every malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
         try:
             header = json.loads(fh.read(header_len).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-        arrays = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CheckpointError("truncated tensor data")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays = {}
+            for spec in header["tensors"]:
+                shape = tuple(spec["shape"])
+                count = int(np.prod(shape)) if shape else 1
+                raw = _read_exact(fh, 8 * count, "tensor data")
+                arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if fh.read(1):
+                raise CheckpointError("trailing bytes after the tensor data")
+            return _assemble_checkpoint(header, arrays)
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint missing {exc}") from exc
+
+
+def _assemble_checkpoint(header, arrays):
+    def take(name, shape):
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint missing tensor {name}")
+        if arrays[name].shape != shape:
+            raise CheckpointError(f"tensor {name} shape {arrays[name].shape} != {shape}")
+        return arrays[name]
 
     config = config_from_dict(header["config"])
     if config.digest() != header["config_digest"]:
         raise CheckpointError("config digest mismatch")
     arch = emnn.build(config)
     params = emnn.init_params(arch, np.random.default_rng(0), config.trainable_power)
-    for name, t in params.named_tensors().items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing tensor {name}")
-        if arrays[name].shape != t.data.shape:
-            raise CheckpointError(f"tensor {name} shape {arrays[name].shape} "
-                                  f"!= {t.data.shape}")
-        t.data = arrays[name]
-    for key, st in params.named_states().items():
-        st.running_mean = arrays[f"{key}.running_mean"]
-        st.running_var = arrays[f"{key}.running_var"]
     opt_m, opt_v = {}, {}
-    for name in params.named_tensors():
-        opt_m[name] = arrays[f"opt.m.{name}"]
-        opt_v[name] = arrays[f"opt.v.{name}"]
+    for name, t in params.named_tensors().items():
+        t.data = take(name, t.data.shape)
+        opt_m[name] = take(f"opt.m.{name}", t.data.shape)
+        opt_v[name] = take(f"opt.v.{name}", t.data.shape)
+    for key, st in params.named_states().items():
+        st.running_mean = take(f"{key}.running_mean", st.running_mean.shape)
+        st.running_var = take(f"{key}.running_var", st.running_var.shape)
     return Checkpoint(config, params, opt_m, opt_v, header["opt_step"],
                       header["rng_state"], [tuple(row) for row in header["history"]],
                       header["epoch"], header.get("diverged", False))

@@ -163,91 +163,9 @@ def transmission_matrix(prev_positions, next_positions, frequency, unit_area,
         * np.exp(1j * 2.0 * np.pi * r * frequency / light_speed)
 
 
-def phase_mask(phases, size):
-    """Diagonal unit-modulus matrix diag(exp(j * phases))."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (size,):
-        raise GeometryError(f"phase vector length {phases.shape} != {size}")
-    if not np.isfinite(phases).all():
-        raise GeometryError("non-finite phase entries")
-    return np.diag(np.exp(1j * phases))
-
-
 def wrap_phase(phases):
     """Canonicalize phases into [0, 2 pi) for export."""
     return np.mod(np.asarray(phases, dtype=float), 2.0 * np.pi)
-
-
-@dataclass
-class SimOperator:
-    """One stack: ordered fixed transmission matrices plus current phases.
-
-    TX side stores [V_1 .. V_L] and phases [theta_1 .. theta_L];
-    RX side stores [U_1 .. U_K] and phases [xi_1 .. xi_K].
-    antenna_count gives the pass-through size when the stack has no layers.
-    """
-
-    side: str
-    terminal: int
-    matrices: list
-    phases: list
-    antenna_count: int
-
-    def validate(self):
-        if self.side not in ("tx", "rx"):
-            raise GeometryError(f"unknown side {self.side!r}")
-        if len(self.matrices) != len(self.phases):
-            raise GeometryError("one phase vector per transmission matrix required")
-        if self.side == "tx":
-            # applied V_1 .. V_L; phase l follows V_l (length = its row count)
-            size = self.antenna_count
-            for mat, ph in zip(self.matrices, self.phases):
-                if mat.shape[1] != size:
-                    raise GeometryError(
-                        f"chain dimension mismatch: {mat.shape} after size {size}")
-                size = mat.shape[0]
-                if ph.shape != (size,):
-                    raise GeometryError(f"phase length {ph.shape} != layer size {size}")
-        else:
-            # applied U_K .. U_1; phase k precedes U_k (length = its col count)
-            prev_rows = None
-            for k in range(len(self.matrices), 0, -1):
-                mat, ph = self.matrices[k - 1], self.phases[k - 1]
-                if ph.shape != (mat.shape[1],):
-                    raise GeometryError(
-                        f"phase length {ph.shape} != layer size {mat.shape[1]}")
-                if prev_rows is not None and mat.shape[1] != prev_rows:
-                    raise GeometryError(
-                        f"chain dimension mismatch: {mat.shape} after size {prev_rows}")
-                prev_rows = mat.shape[0]
-            if self.matrices and self.matrices[0].shape[0] != self.antenna_count:
-                raise GeometryError(
-                    f"chain does not end at the antenna plane: {self.matrices[0].shape}")
-
-
-def tx_propagation(sim):
-    """Dense TX operator Phi_L V_L ... Phi_1 V_1 (identity when L = 0)."""
-    if sim.side != "tx":
-        raise GeometryError("tx_propagation needs a TX-side operator")
-    sim.validate()
-    acc = np.eye(sim.antenna_count, dtype=complex)
-    for mat, ph in zip(sim.matrices, sim.phases):
-        acc = np.exp(1j * ph)[:, None] * (mat @ acc)
-    return acc
-
-
-def rx_propagation(sim):
-    """Dense RX operator U_1 Psi_1 ... U_K Psi_K (identity when K = 0)."""
-    if sim.side != "rx":
-        raise GeometryError("rx_propagation needs an RX-side operator")
-    sim.validate()
-    if not sim.matrices:
-        return np.eye(sim.antenna_count, dtype=complex)
-    width = sim.matrices[-1].shape[1]
-    acc = np.eye(width, dtype=complex)
-    for mat, ph in zip(reversed(sim.matrices), reversed(sim.phases)):
-        acc = mat @ (np.exp(1j * ph)[:, None] * acc)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -295,30 +213,7 @@ def build_rx_factors(geom, q):
     return factors
 
 
-def tx_operator(geom, q, phases):
-    """Assemble the TX SimOperator for terminal q from raw phase vectors."""
-    term = geom.terminal(q)
-    return SimOperator("tx", q, build_tx_factors(geom, q),
-                       [wrap_phase(p) for p in phases], term.tx_antennas)
-
-
-def rx_operator(geom, q, phases):
-    """Assemble the RX SimOperator for terminal q from raw phase vectors."""
-    term = geom.terminal(q)
-    return SimOperator("rx", q, build_rx_factors(geom, q),
-                       [wrap_phase(p) for p in phases], term.rx_antennas)
-
-
 def complex_to_pair(matrix):
-    """Split a complex matrix into its (real, imag) float64 planes."""
-    matrix = np.asarray(matrix)
-    return np.ascontiguousarray(matrix.real, dtype=float), \
-        np.ascontiguousarray(matrix.imag, dtype=float)
-
-
-def pair_to_complex(re, im):
-    re = np.asarray(re, dtype=float)
-    im = np.asarray(im, dtype=float)
-    if re.shape != im.shape:
-        raise GeometryError("real and imaginary planes must share a shape")
-    return re + 1j * im
+    """Complex rows (..., n) as paired real rows [re | im] (..., 2n)."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.concatenate([matrix.real, matrix.imag], axis=-1)

@@ -80,29 +80,46 @@ def test_gradient_correctness(mini):
            f"max relative error {err:.3e} (< 1e-5), {elapsed:.1f}s (< 60s)")
 
 
+def coefficient_matrix(src, dst, geom):
+    """Transmission matrix entry by entry from diffraction_coefficient."""
+    return np.array([[wf.diffraction_coefficient(s, d, geom.frequency, geom.unit_area,
+                                                 geom.light_speed) for s in src]
+                     for d in dst])
+
+
 def test_physics_network_consistency(mini):
     geom = mini.geometry
     model = emnn.Emnn(mini, rng=np.random.default_rng(0))
+    tx = {q: [coefficient_matrix(wf.tx_layer_positions(geom, q, l - 1),
+                                 wf.tx_layer_positions(geom, q, l), geom)
+              for l in (1, 2)] for q in (1, 2)}
+    rx = {q: [coefficient_matrix(wf.rx_layer_positions(geom, q, l),
+                                 wf.rx_layer_positions(geom, q, l - 1), geom)
+              for l in (1, 2)] for q in (1, 2)}
     rng = np.random.default_rng(1)
     worst = 0.0
+
+    def err(out, want):
+        return np.linalg.norm(out.data - want) / np.linalg.norm(want)
+
     for draw in range(100):
         q = 1 + draw % 2
         thetas = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
         xis = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
-        x = rng.standard_normal((4, 8))
-        out = emnn.tx_sim_forward(ag.Tensor(x), model.tx_pairs[q - 1],
-                                  [ag.Tensor(t) for t in thetas])
-        dense = wf.tx_propagation(wf.tx_operator(geom, q, thetas))
-        z = (x[:, :4] + 1j * x[:, 4:]) @ dense.T
-        want = np.concatenate([z.real, z.imag], axis=1)
-        worst = max(worst, np.linalg.norm(out.data - want) / np.linalg.norm(want))
-        y = rng.standard_normal((4, 32))
-        out = emnn.rx_sim_forward(ag.Tensor(y), model.rx_pairs[q - 1],
-                                  [ag.Tensor(t) for t in xis])
-        dense = wf.rx_propagation(wf.rx_operator(geom, q, xis))
-        z = (y[:, :16] + 1j * y[:, 16:]) @ dense.T
-        want = np.concatenate([z.real, z.imag], axis=1)
-        worst = max(worst, np.linalg.norm(out.data - want) / np.linalg.norm(want))
+        (v1, v2), (u1, u2) = tx[q], rx[q]
+        t_dense = np.diag(np.exp(1j * thetas[1])) @ v2 @ np.diag(np.exp(1j * thetas[0])) @ v1
+        r_dense = u1 @ np.diag(np.exp(1j * xis[0])) @ u2 @ np.diag(np.exp(1j * xis[1]))
+        # a complex batch, and the identity that composes the operator itself
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for rows in (x, np.eye(4, dtype=complex)):
+            out = emnn.tx_sim_forward(ag.Tensor(rows), model.tx_factors[q - 1],
+                                      [ag.Tensor(t) for t in thetas])
+            worst = max(worst, err(out, rows @ t_dense.T))
+        y = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        for rows in (y, np.eye(16, dtype=complex)):
+            out = emnn.rx_sim_forward(ag.Tensor(rows), model.rx_factors[q - 1],
+                                      [ag.Tensor(t) for t in xis])
+            worst = max(worst, err(out, rows @ r_dense.T))
     report("physics/network consistency", worst < 1e-10,
            f"worst relative error {worst:.3e} over 100 draws (< 1e-10)")
 
@@ -113,10 +130,10 @@ def test_unit_modulus_and_power_conservation():
     for _ in range(50):
         n = int(rng.integers(2, 24))
         theta = rng.uniform(-10, 10, n)
-        x = rng.standard_normal((8, 2 * n)) * rng.uniform(0.1, 10)
-        y = ag.phase_diag_apply(theta, ag.Tensor(x))
-        before = x[:, :n] ** 2 + x[:, n:] ** 2
-        after = y.data[:, :n] ** 2 + y.data[:, n:] ** 2
+        x = ag.to_complex(rng.standard_normal((8, 2 * n)) * rng.uniform(0.1, 10)).data
+        y = ag.phase_shift(ag.Tensor(x), theta)
+        before = x.real ** 2 + x.imag ** 2
+        after = y.data.real ** 2 + y.data.imag ** 2
         worst_norm = max(worst_norm, float(np.max(np.abs(before - after))))
     worst_power = 0.0
     for _ in range(50):

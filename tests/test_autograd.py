@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import simfd.autograd as ag
+from paired_real import complex_matmul, phase_diag_apply
 
 
 def fd_grad(build_loss, tensor, h=1e-6):
@@ -116,9 +117,9 @@ def test_complex_matmul_identity_and_j():
     rng = np.random.default_rng(3)
     x = ag.Tensor(rng.standard_normal((5, 6)))
     eye = np.eye(3)
-    out = ag.complex_matmul(eye, np.zeros((3, 3)), x)
+    out = complex_matmul(eye, np.zeros((3, 3)), x)
     assert np.allclose(out.data, x.data)
-    out_j = ag.complex_matmul(np.zeros((3, 3)), eye, x)
+    out_j = complex_matmul(np.zeros((3, 3)), eye, x)
     re, im = x.data[:, :3], x.data[:, 3:]
     assert np.allclose(out_j.data[:, :3], -im)
     assert np.allclose(out_j.data[:, 3:], re)
@@ -129,7 +130,7 @@ def test_complex_matmul_against_complex_arithmetic():
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     z = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     x = ag.Tensor(np.concatenate([z.real, z.imag], axis=1))
-    out = ag.complex_matmul(m.real.copy(), m.imag.copy(), x)
+    out = complex_matmul(m.real.copy(), m.imag.copy(), x)
     want = z @ m.T
     assert np.allclose(out.data[:, :3], want.real)
     assert np.allclose(out.data[:, 3:], want.imag)
@@ -138,9 +139,9 @@ def test_complex_matmul_against_complex_arithmetic():
 def test_phase_diag_trivial_angles():
     rng = np.random.default_rng(5)
     x = ag.Tensor(rng.standard_normal((4, 6)))
-    out0 = ag.phase_diag_apply(np.zeros(3), x)
+    out0 = phase_diag_apply(np.zeros(3), x)
     assert np.allclose(out0.data, x.data)
-    out90 = ag.phase_diag_apply(np.full(3, np.pi / 2.0), x)
+    out90 = phase_diag_apply(np.full(3, np.pi / 2.0), x)
     re, im = x.data[:, :3], x.data[:, 3:]
     assert np.allclose(out90.data[:, :3], -im)
     assert np.allclose(out90.data[:, 3:], re)
@@ -150,7 +151,7 @@ def test_phase_diag_preserves_complex_norm():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((8, 10))
     theta = rng.uniform(0, 2 * np.pi, 5)
-    out = ag.phase_diag_apply(theta, ag.Tensor(x))
+    out = phase_diag_apply(theta, ag.Tensor(x))
     before = x[:, :5] ** 2 + x[:, 5:] ** 2
     after = out.data[:, :5] ** 2 + out.data[:, 5:] ** 2
     assert np.max(np.abs(before - after)) < 1e-12
@@ -163,13 +164,82 @@ def test_phase_diag_theta_gradient_matches_fd():
     w = rng.standard_normal(8)
 
     def build():
-        y = ag.phase_diag_apply(theta, x)
+        y = phase_diag_apply(theta, x)
         return ag.reduce_sum(ag.hadamard(y, ag.Tensor(np.broadcast_to(w, (3, 8)).copy())))
 
     ag.backward(build())
     ad = theta.grad.copy()
     fd = fd_grad(build, theta)
     assert rel_err(ad, fd) < 1e-5
+
+
+def fd_grad_complex(build_loss, tensor, h=1e-6):
+    """dL/dRe + j dL/dIm by central differences on both parts."""
+    parts = []
+    for step in (h, 1j * h):
+        flat = tensor.data.reshape(-1)
+        out = np.zeros(flat.size)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            hi = float(build_loss().data)
+            flat[i] = keep - step
+            lo = float(build_loss().data)
+            flat[i] = keep
+            out[i] = (hi - lo) / (2.0 * h)
+        parts.append(out.reshape(tensor.data.shape))
+    return parts[0] + 1j * parts[1]
+
+
+def test_complex_tensor_keeps_complex128():
+    z = ag.Tensor(np.array([1 + 2j, 3j], dtype=np.complex64))
+    assert z.data.dtype == np.complex128
+    assert ag.Tensor(np.array([1, 2])).data.dtype == np.float64
+
+
+def test_phase_shift_matches_complex_arithmetic():
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    theta = rng.uniform(-10, 10, 4)
+    out = ag.phase_shift(ag.Tensor(z), theta)
+    assert np.allclose(out.data, z @ np.diag(np.exp(1j * theta)), rtol=0, atol=1e-14)
+    with pytest.raises(ag.GraphError):
+        ag.phase_shift(ag.Tensor(z), np.zeros(5))
+
+
+def test_pair_boundary_roundtrip():
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((3, 8))
+    z = ag.to_complex(ag.Tensor(x))
+    assert np.array_equal(z.data, x[:, :4] + 1j * x[:, 4:])
+    assert np.array_equal(ag.to_pair(z).data, x)
+    with pytest.raises(ag.GraphError):
+        ag.to_complex(ag.Tensor(np.zeros((3, 5))))
+
+
+def test_complex_gradients_match_finite_differences():
+    """CR convention: every complex leaf gets dL/dRe + j dL/dIm, every real
+    leaf dL/dx, through matmul (conjugate transpose), phase and boundaries."""
+    rng = np.random.default_rng(23)
+    a = ag.Tensor(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
+                  requires_grad=True)
+    b = ag.Tensor(rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)),
+                  requires_grad=True)
+    theta = ag.Tensor(rng.uniform(0, 2 * np.pi, 5), requires_grad=True)
+    x = ag.Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+    w = rng.standard_normal((2, 10))
+
+    def build():
+        h = ag.phase_shift(ag.matmul(ag.matmul(ag.to_complex(x), a), b), theta)
+        y = ag.to_pair(h)
+        return ag.reduce_sum(ag.hadamard(ag.hadamard(y, y), w))
+
+    ag.backward(build())
+    grads = [t.grad.copy() for t in (a, b, theta, x)]
+    assert rel_err(grads[0], fd_grad_complex(build, a)) < 1e-6
+    assert rel_err(grads[1], fd_grad_complex(build, b)) < 1e-6
+    assert rel_err(grads[2], fd_grad(build, theta)) < 1e-6
+    assert rel_err(grads[3], fd_grad(build, x)) < 1e-6
 
 
 def test_batchnorm_train_then_eval_affine():
@@ -211,7 +281,7 @@ def _random_graph_loss(rng, params):
     """Small random graph over the primitive set, smooth at generic points."""
     x, w1, w2, theta, gamma, beta = params
     h = ag.relu(ag.add(ag.matmul(x, w1), 0.1))
-    h = ag.phase_diag_apply(theta, h)
+    h = ag.to_pair(ag.phase_shift(ag.to_complex(h), theta))
     state = ag.BatchNormState(h.data.shape[1])
     state.running_mean = rng.standard_normal(h.data.shape[1]) * 0.1
     state.running_var = rng.uniform(0.5, 1.5, h.data.shape[1])

@@ -166,7 +166,6 @@ class TestDrawNoise:
 
     def test_dbm_conversion(self):
         assert ch.dbm_to_watt(-110.0) == pytest.approx(1e-14, rel=1e-12)
-        assert ch.NoiseParams(-110.0).power_linear == pytest.approx(1e-14, rel=1e-12)
 
 
 class TestRealizeChannels:

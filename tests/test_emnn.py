@@ -6,6 +6,7 @@ import simfd.channel as ch
 import simfd.emnn as emnn
 import simfd.training as training
 import simfd.wavefield as wf
+from paired_real import batch_first_forward
 from simfd.config import miniature_config, reference_config
 
 
@@ -140,94 +141,89 @@ class TestPowerControl:
         assert np.allclose(total, ch.dbm_to_watt(10.0))
 
 
+def complex_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestSimForward:
     def test_single_layer_zero_phase_is_first_factor(self, mini):
-        geom = mini.geometry
-        v1 = wf.build_tx_factors(geom, 1)[0]
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((5, 8))
-        pair = wf.complex_to_pair(v1)
-        out = emnn.tx_sim_forward(ag.Tensor(x), [pair], [ag.Tensor(np.zeros(16))])
-        z = (x[:, :4] + 1j * x[:, 4:]) @ v1.T
-        assert np.allclose(out.data[:, :16], z.real, atol=1e-12)
-        assert np.allclose(out.data[:, 16:], z.imag, atol=1e-12)
+        v1 = wf.build_tx_factors(mini.geometry, 1)[0]
+        z = complex_rows(np.random.default_rng(8), (5, 4))
+        out = emnn.tx_sim_forward(ag.Tensor(z), [v1], [ag.Tensor(np.zeros(16))])
+        assert np.allclose(out.data, z @ v1.T, atol=1e-12)
 
     def test_layerwise_equals_dense_operator(self, mini_model):
-        # the central physics/network consistency property
+        # batch rows and the identity (the composed operator) agree with the
+        # dense product Phi_2 V_2 Phi_1 V_1
         rng = np.random.default_rng(9)
-        geom = mini_model.config.geometry
+        v1, v2 = mini_model.tx_factors[0]
         for trial in range(10):
             thetas = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
-            x = rng.standard_normal((6, 8))
-            out = emnn.tx_sim_forward(ag.Tensor(x), mini_model.tx_pairs[0],
-                                      [ag.Tensor(t) for t in thetas])
-            dense = wf.tx_propagation(wf.tx_operator(geom, 1, thetas))
-            z = (x[:, :4] + 1j * x[:, 4:]) @ dense.T
-            want = np.concatenate([z.real, z.imag], axis=1)
-            err = np.linalg.norm(out.data - want) / np.linalg.norm(want)
-            assert err < 1e-10
+            dense = np.exp(1j * thetas[1])[:, None] * (
+                v2 @ (np.exp(1j * thetas[0])[:, None] * v1))
+            z = complex_rows(rng, (6, 4))
+            for rows, want in ((z, z @ dense.T), (np.eye(4, dtype=complex), dense.T)):
+                out = emnn.tx_sim_forward(ag.Tensor(rows), mini_model.tx_factors[0],
+                                          [ag.Tensor(t) for t in thetas])
+                err = np.linalg.norm(out.data - want) / np.linalg.norm(want)
+                assert err < 1e-10
 
     def test_rx_layerwise_equals_dense_operator(self, mini_model):
         rng = np.random.default_rng(10)
-        geom = mini_model.config.geometry
+        u1, u2 = mini_model.rx_factors[0]
         xis = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
-        y = rng.standard_normal((6, 32))
-        out = emnn.rx_sim_forward(ag.Tensor(y), mini_model.rx_pairs[0],
+        dense = u1 @ (np.exp(1j * xis[0])[:, None] * (u2 @ np.diag(np.exp(1j * xis[1]))))
+        z = complex_rows(rng, (6, 16))
+        out = emnn.rx_sim_forward(ag.Tensor(z), mini_model.rx_factors[0],
                                   [ag.Tensor(t) for t in xis])
-        dense = wf.rx_propagation(wf.rx_operator(geom, 1, xis))
-        z = (y[:, :16] + 1j * y[:, 16:]) @ dense.T
-        want = np.concatenate([z.real, z.imag], axis=1)
+        want = z @ dense.T
         err = np.linalg.norm(out.data - want) / np.linalg.norm(want)
         assert err < 1e-10
 
     def test_phase_layer_norm_preserving_per_layer(self, mini_model):
         rng = np.random.default_rng(11)
-        x = ag.Tensor(rng.standard_normal((4, 32)))
-        theta = ag.Tensor(rng.uniform(0, 2 * np.pi, 16))
-        y = ag.phase_diag_apply(theta, x)
-        nb = (x.data[:, :16] ** 2 + x.data[:, 16:] ** 2).sum(axis=1)
-        na = (y.data[:, :16] ** 2 + y.data[:, 16:] ** 2).sum(axis=1)
-        assert np.max(np.abs(nb - na)) < 1e-12
+        z = complex_rows(rng, (4, 16))
+        y = ag.phase_shift(ag.Tensor(z), ag.Tensor(rng.uniform(0, 2 * np.pi, 16)))
+        assert np.max(np.abs((np.abs(z) ** 2).sum(axis=1)
+                             - (np.abs(y.data) ** 2).sum(axis=1))) < 1e-12
 
 
 class TestChannelLayer:
-    def _pairs(self, realization):
-        return {k: wf.complex_to_pair(realization.link(*k)) for k in ch.LINK_ORDER}
+    """channel_layer(T1^T, T2^T) gives receiver q's [T1^T G_1q^T ; T2^T G_2q^T]."""
 
     def test_pure_cross_when_si_zero(self, mini_realization):
         rng = np.random.default_rng(12)
-        pairs = self._pairs(mini_realization)
-        zero = (np.zeros((16, 16)), np.zeros((16, 16)))
-        pairs[(1, 1)] = zero
-        pairs[(2, 2)] = zero
-        s1 = ag.Tensor(rng.standard_normal((3, 32)))
-        s2 = ag.Tensor(np.zeros((3, 32)))
-        f1, f2 = emnn.channel_layer(s1, s2, pairs)
-        assert np.array_equal(f1.data, np.zeros((3, 32)))
-        z = (s1.data[:, :16] + 1j * s1.data[:, 16:]) @ mini_realization.link(1, 2).T
-        assert np.allclose(f2.data, np.concatenate([z.real, z.imag], axis=1))
+        links = dict(mini_realization.links)
+        links[(1, 1)] = np.zeros((16, 16), complex)
+        links[(2, 2)] = np.zeros((16, 16), complex)
+        real = ch.ChannelRealization(links, mini_realization.gains, 0, "instantaneous")
+        t1 = ag.Tensor(complex_rows(rng, (3, 16)))
+        t2 = ag.Tensor(np.zeros((2, 16), complex))
+        f1, f2 = emnn.channel_layer(t1, t2, real)
+        assert np.array_equal(f1.data, np.zeros((5, 16)))
+        assert np.allclose(f2.data[:3], t1.data @ mini_realization.link(1, 2).T)
+        assert np.array_equal(f2.data[3:], np.zeros((2, 16)))
 
     def test_pure_self_interference(self, mini_realization):
         rng = np.random.default_rng(13)
-        pairs = self._pairs(mini_realization)
-        s1 = ag.Tensor(rng.standard_normal((3, 32)))
-        s2 = ag.Tensor(np.zeros((3, 32)))
-        f1, _ = emnn.channel_layer(s1, s2, pairs)
-        z = (s1.data[:, :16] + 1j * s1.data[:, 16:]) @ mini_realization.link(1, 1).T
-        assert np.allclose(f1.data, np.concatenate([z.real, z.imag], axis=1))
+        t1 = ag.Tensor(complex_rows(rng, (3, 16)))
+        t2 = ag.Tensor(np.zeros((2, 16), complex))
+        f1, _ = emnn.channel_layer(t1, t2, mini_realization)
+        assert np.allclose(f1.data[:3], t1.data @ mini_realization.link(1, 1).T)
 
     def test_random_case_against_complex_oracle(self, mini_realization):
+        # a joint signal (z1, z2) through the stacked operator equals the
+        # superposition G_1q z1 + G_2q z2 at both receivers
         rng = np.random.default_rng(14)
-        pairs = self._pairs(mini_realization)
-        s1 = ag.Tensor(rng.standard_normal((4, 32)))
-        s2 = ag.Tensor(rng.standard_normal((4, 32)))
-        f1, f2 = emnn.channel_layer(s1, s2, pairs)
-        z1 = s1.data[:, :16] + 1j * s1.data[:, 16:]
-        z2 = s2.data[:, :16] + 1j * s2.data[:, 16:]
-        want1 = z1 @ mini_realization.link(1, 1).T + z2 @ mini_realization.link(2, 1).T
-        want2 = z1 @ mini_realization.link(1, 2).T + z2 @ mini_realization.link(2, 2).T
-        assert np.allclose(f1.data, np.concatenate([want1.real, want1.imag], axis=1))
-        assert np.allclose(f2.data, np.concatenate([want2.real, want2.imag], axis=1))
+        t1 = ag.Tensor(complex_rows(rng, (4, 16)))
+        t2 = ag.Tensor(complex_rows(rng, (3, 16)))
+        f1, f2 = emnn.channel_layer(t1, t2, mini_realization)
+        z1, z2 = complex_rows(rng, (5, 4)), complex_rows(rng, (5, 3))
+        joint = np.concatenate([z1, z2], axis=1)
+        s1, s2 = z1 @ t1.data, z2 @ t2.data
+        link = mini_realization.link
+        assert np.allclose(joint @ f1.data, s1 @ link(1, 1).T + s2 @ link(2, 1).T)
+        assert np.allclose(joint @ f2.data, s1 @ link(1, 2).T + s2 @ link(2, 2).T)
 
 
 class TestRxDnn:
@@ -329,30 +325,6 @@ class TestForwardFull:
         assert np.array_equal(emnn.hard_decision(soft), bits.astype(np.int64))
 
 
-def batch_first_forward(model, bits, power_dbm, realization, training, noise):
-    """Oracle: every stage applied to the data batch itself."""
-    arch = model.arch
-    n1 = arch.n_bits[0]
-    link_pairs = {key: wf.complex_to_pair(realization.link(*key))
-                  for key in ch.LINK_ORDER}
-    sent = []
-    p_alloc = emnn.allocate_power(power_dbm, arch, model.params)
-    for q, p_q in zip((1, 2), p_alloc):
-        tp = model.params.terminal(q)
-        block = bits[:, :n1] if q == 1 else bits[:, n1:]
-        x = emnn.power_control(emnn.tx_dnn_forward(block, tp), p_q)
-        sent.append(emnn.tx_sim_forward(x, model.tx_pairs[q - 1], tp.theta))
-    fields = emnn.channel_layer(sent[0], sent[1], link_pairs)
-    received = []
-    for q, f_q in zip((1, 2), fields):
-        tp = model.params.terminal(q)
-        r_q = emnn.rx_sim_forward(f_q, model.rx_pairs[q - 1], tp.xi)
-        r_q = ag.add(r_q, emnn.complex_to_pair_batch(noise[q - 1]))
-        received.append(emnn.rx_dnn_forward(ag.scale(r_q, model.rx_scale), tp,
-                                            training))
-    return ag.concat([received[1], received[0]], axis=1)
-
-
 def lopsided_config():
     """Unequal antenna counts and units, L != K, trainable power split."""
     from dataclasses import replace
@@ -411,20 +383,41 @@ class TestOperatorFirst:
             scale = max(np.linalg.norm(g), 1e-300)
             assert np.linalg.norm(grads[name] - g) <= 1e-12 * scale, name
 
-    @pytest.mark.parametrize("batch", [4, 512])
-    def test_stack_work_independent_of_batch(self, mini, mini_realization, batch):
-        model = emnn.Emnn(mini, rng=np.random.default_rng(42))
+    @staticmethod
+    def stage_shapes(model, realization, batch, monkeypatch):
+        """(op, shape) of every node built inside the stack and channel
+        stages of one training step."""
+        outputs = []
+        for name in ("tx_sim_forward", "channel_layer", "rx_sim_forward"):
+            def record(*args, fn=getattr(emnn, name)):
+                out = fn(*args)
+                outputs.extend(out if isinstance(out, tuple) else (out,))
+                return out
+            monkeypatch.setattr(emnn, name, record)
         rng = np.random.default_rng(43)
-        bits = rng.integers(0, 2, (batch, mini.total_bits)).astype(float)
-        soft = model.forward(bits, np.full(batch, 25.0), mini_realization,
+        bits = rng.integers(0, 2, (batch, model.config.total_bits)).astype(float)
+        soft = model.forward(bits, np.full(batch, 25.0), realization,
                              rng=rng, training=True, noise=True)
-        loss = training.bce_loss(bits, soft)
-        probes = sum(model.arch.tx_antennas)
-        stack_nodes = [node for node in ag.topo_order(loss)
-                       if node.op in ("complex_matmul", "phase_diag")]
-        # 2 terminals x (2 tx + 2 rx layers) x 2 ops, plus 4 channel links
-        assert len(stack_nodes) == 2 * 4 * 2 + 4
-        assert all(node.data.shape[0] == probes for node in stack_nodes)
+        ag.backward(training.bce_loss(bits, soft))
+        monkeypatch.undo()
+        seen, shapes = set(), []
+        for out in outputs:
+            for node in ag.topo_order(out):
+                if node.op is not None and id(node) not in seen:
+                    seen.add(id(node))
+                    shapes.append((node.op, node.data.shape))
+        return shapes
+
+    @pytest.mark.parametrize("batch", [4, 512])
+    def test_stack_work_independent_of_batch(self, mini, mini_realization, batch,
+                                             monkeypatch):
+        model = emnn.Emnn(mini, rng=np.random.default_rng(42))
+        shapes = self.stage_shapes(model, mini_realization, batch, monkeypatch)
+        # 2 terminals x (2 tx + 2 rx layers) x (matmul + phase), plus per
+        # receiver 2 link matmuls and their concat
+        assert len(shapes) == 2 * 4 * 2 + 2 * 3
+        assert shapes == self.stage_shapes(model, mini_realization, 2, monkeypatch)
+        assert max(shape[0] for _, shape in shapes) == sum(model.arch.tx_antennas)
 
 
 class TestPhaseExport:
@@ -439,7 +432,9 @@ class TestPhaseExport:
             assert side in ("tx", "rx")
             assert 0.0 <= float(phase) < 2 * np.pi
 
-    def test_exported_phases_wrap(self, mini_model):
-        mini_model.params.terminal(1).theta[0].data[0] = -1.0
-        table = mini_model.params.exported_phases()
-        assert 0.0 <= table["t1.theta1"][0] < 2 * np.pi
+    def test_table_wraps_negative_phases(self, mini_model):
+        params = mini_model.params.copy()
+        params.terminal(1).theta[0].data[0] = -1.0
+        line = emnn.export_phase_table(params).splitlines()[1]
+        assert line.startswith("1 tx 1 0 ")
+        assert float(line.split()[-1]) == pytest.approx(2 * np.pi - 1.0, abs=1e-12)

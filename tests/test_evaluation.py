@@ -316,6 +316,26 @@ class TestConfigFile:
         loaded = load_config(path)
         assert loaded.digest() == quick_config.digest()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "epochs", "abc"), ("system", "bits", [4, "x"])])
+    def test_uncoercible_value_is_config_error(self, quick_config, section, key, value):
+        from simfd.config import config_from_dict
+        doc = quick_config.to_dict()
+        doc[section][key] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_optional_finetune_fields_are_coerced(self, quick_config):
+        from simfd.config import config_from_dict
+        doc = quick_config.to_dict()
+        doc["training"]["finetune_epochs"] = "7"
+        doc["training"]["finetune_lr"] = "0.5"
+        tc = config_from_dict(doc).training
+        assert tc.finetune_epochs == 7 and isinstance(tc.finetune_epochs, int)
+        assert tc.finetune_lr == 0.5
+        doc["training"]["finetune_epochs"] = None
+        assert config_from_dict(doc).training.finetune_epochs is None
+
     def test_derived_seed_is_stable(self):
         assert ev.derive_seed(1234, 0) == ev.derive_seed(1234, 0)
         assert ev.derive_seed(1234, 0) != ev.derive_seed(1234, 1)

@@ -59,18 +59,28 @@ class TestBceLoss:
 
 
 class TestXavierInit:
+    """init_params draws every weight matrix from U(-l, l), l = sqrt(6 / (in + out))."""
+
     def test_bounds(self):
-        w = training.xavier_init((12, 12), np.random.default_rng(3))
-        assert np.all(np.abs(w.data) <= np.sqrt(6.0 / 24.0))
+        from simfd.config import reference_config
+        params = emnn.init_params(emnn.build(reference_config()),
+                                  np.random.default_rng(3))
+        for q in (1, 2):
+            tp = params.terminal(q)
+            for w in tp.tx_w + tp.rx_w:
+                fan_in, fan_out = w.data.shape
+                assert np.all(np.abs(w.data) <= np.sqrt(6.0 / (fan_in + fan_out)))
 
     def test_empirical_variance(self):
-        w = training.xavier_init((200, 500), np.random.default_rng(4))
+        # a 200-bit, 250-antenna terminal: its last TX weight is 200 x 500
+        arch = emnn.EmnnArchitecture(n_bits=(200, 1), tx_antennas=(250, 1),
+                                     rx_antennas=(1, 1), tx_units=(1, 1),
+                                     rx_units=(1, 1), tx_layers=(0, 0),
+                                     rx_layers=(0, 0))
+        w = emnn.init_params(arch, np.random.default_rng(4)).terminal(1).tx_w[2]
+        assert w.data.shape == (200, 500)
         want = 2.0 / (200 + 500)
         assert abs(w.data.var() - want) / want < 0.05
-
-    def test_requires_2d(self):
-        with pytest.raises(ValueError):
-            training.xavier_init((5,), np.random.default_rng(5))
 
     def test_phase_vectors_uniform_range(self, quick_config):
         params = emnn.init_params(emnn.build(quick_config),
@@ -257,11 +267,63 @@ class TestCheckpointIO:
         with pytest.raises(training.CheckpointError):
             training.load_checkpoint(path)
 
+    @pytest.mark.parametrize("fault", [
+        "truncated_version", "truncated_header_length", "missing_running_var",
+        "missing_opt_moment", "missing_opt_step", "wrong_shape_running_mean",
+        "trailing_bytes"])
+    def test_malformed_file_is_checkpoint_error(self, quick_checkpoint, tmp_path, fault):
+        path = tmp_path / "g.ckpt"
+        training.save_checkpoint(quick_checkpoint, path)
+        blob = path.read_bytes()
+        magic = len(training.CHECKPOINT_MAGIC)
+        if fault == "truncated_version":
+            blob = blob[:magic + 2]
+        elif fault == "truncated_header_length":
+            blob = blob[:magic + 4 + 3]
+        elif fault == "trailing_bytes":
+            blob += b"\0"
+        else:
+            blob = rewrite_checkpoint(blob, fault)
+        path.write_bytes(blob)
+        with pytest.raises(training.CheckpointError):
+            training.load_checkpoint(path)
+
     def test_rng_state_survives(self, quick_checkpoint, tmp_path):
         path = tmp_path / "f.ckpt"
         training.save_checkpoint(quick_checkpoint, path)
         loaded = training.load_checkpoint(path)
         assert loaded.rng_state == quick_checkpoint.rng_state
+
+
+def rewrite_checkpoint(blob, fault):
+    """The checkpoint container `blob` with one header entry or tensor spoiled."""
+    import json
+    import struct
+    start = len(training.CHECKPOINT_MAGIC) + 4
+    (header_len,) = struct.unpack("<Q", blob[start:start + 8])
+    header = json.loads(blob[start + 8:start + 8 + header_len])
+    offset = start + 8 + header_len
+    arrays = {}
+    for spec in header["tensors"]:
+        count = int(np.prod(spec["shape"]))
+        arrays[spec["name"]] = blob[offset:offset + 8 * count]
+        offset += 8 * count
+    if fault == "missing_opt_step":
+        del header["opt_step"]
+    else:
+        suffix = {"missing_running_var": ".running_var",
+                  "missing_opt_moment": "opt.m.t1.tx.w0",
+                  "wrong_shape_running_mean": ".running_mean"}[fault]
+        spec = next(s for s in header["tensors"] if s["name"].endswith(suffix))
+        if fault == "wrong_shape_running_mean":
+            spec["shape"] = [spec["shape"][0] + 1]
+            arrays[spec["name"]] += bytes(8)
+        else:
+            header["tensors"].remove(spec)
+            del arrays[spec["name"]]
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:start] + struct.pack("<Q", len(text)) + text \
+        + b"".join(arrays[s["name"]] for s in header["tensors"])
 
 
 def test_smoothed_trailing_mean():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import simfd.autograd as ag
+import simfd.emnn as emnn
 import simfd.wavefield as wf
 
 F = 28e9
@@ -123,29 +125,34 @@ class TestTransmissionMatrix:
         assert np.array_equal(dab, dba.T)
 
 
+def phase_mask(phases):
+    """diag(exp(j phases)), as the column-phase op applies it to the identity."""
+    return ag.phase_shift(np.eye(len(phases), dtype=complex), phases).data
+
+
 class TestPhaseMask:
     def test_zero_phases_identity(self):
-        assert np.array_equal(wf.phase_mask(np.zeros(3), 3), np.eye(3))
+        assert np.array_equal(phase_mask(np.zeros(3)), np.eye(3))
 
     def test_known_values(self):
-        mask = wf.phase_mask(np.array([np.pi, np.pi / 2]), 2)
+        mask = phase_mask(np.array([np.pi, np.pi / 2]))
         assert np.allclose(np.diag(mask), [-1.0, 1j])
         assert mask[0, 1] == 0.0
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(1)
-        mask = wf.phase_mask(rng.uniform(0, 2 * np.pi, 16), 16)
+        mask = phase_mask(rng.uniform(0, 2 * np.pi, 16))
         assert np.max(np.abs(np.abs(np.diag(mask)) ** 2 - 1.0)) < 1e-12
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(2)
-        mask = wf.phase_mask(rng.uniform(0, 2 * np.pi, 8), 8)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.linalg.norm(mask @ v) == pytest.approx(np.linalg.norm(v), rel=1e-12)
+        v = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+        out = ag.phase_shift(v, rng.uniform(0, 2 * np.pi, 8))
+        assert np.linalg.norm(out.data) == pytest.approx(np.linalg.norm(v), rel=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(wf.GeometryError):
-            wf.phase_mask(np.zeros(3), 4)
+        with pytest.raises(ag.GraphError):
+            ag.phase_shift(np.eye(4, dtype=complex), np.zeros(3))
 
 
 def mini_geometry(l_layers=2, k_layers=2):
@@ -158,21 +165,34 @@ def mini_geometry(l_layers=2, k_layers=2):
     return geom
 
 
+def tx_dense(geom, q, phases):
+    """Dense T = Phi_L V_L ... Phi_1 V_1, composed by the forward's TX stage."""
+    eye = ag.Tensor(np.eye(geom.terminal(q).tx_antennas, dtype=complex))
+    return emnn.tx_sim_forward(eye, wf.build_tx_factors(geom, q), phases).data.T
+
+
+def rx_dense(geom, q, phases):
+    """Dense R = U_1 Psi_1 ... U_K Psi_K, composed by the forward's RX stage."""
+    term = geom.terminal(q)
+    eye = ag.Tensor(np.eye(term.rx_units if term.rx_layers else term.rx_antennas,
+                           dtype=complex))
+    return emnn.rx_sim_forward(eye, wf.build_rx_factors(geom, q), phases).data.T
+
+
 class TestPropagationOperators:
     def test_single_layer_zero_phases_is_first_factor(self):
         geom = mini_geometry(1, 1)
-        op = wf.tx_operator(geom, 1, [np.zeros(16)])
-        assert np.allclose(wf.tx_propagation(op), op.matrices[0])
-        rop = wf.rx_operator(geom, 1, [np.zeros(16)])
-        assert np.allclose(wf.rx_propagation(rop), rop.matrices[0])
+        assert np.allclose(tx_dense(geom, 1, [np.zeros(16)]),
+                           wf.build_tx_factors(geom, 1)[0])
+        assert np.allclose(rx_dense(geom, 1, [np.zeros(16)]),
+                           wf.build_rx_factors(geom, 1)[0])
 
     def test_tx_chain_matches_dense_product(self):
         geom = mini_geometry(2, 2)
         rng = np.random.default_rng(3)
         phases = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
-        op = wf.tx_operator(geom, 1, phases)
-        got = wf.tx_propagation(op)
-        v1, v2 = op.matrices
+        got = tx_dense(geom, 1, phases)
+        v1, v2 = wf.build_tx_factors(geom, 1)
         want = np.diag(np.exp(1j * phases[1])) @ v2 @ np.diag(np.exp(1j * phases[0])) @ v1
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err < 1e-10
@@ -181,9 +201,8 @@ class TestPropagationOperators:
         geom = mini_geometry(3, 3)
         rng = np.random.default_rng(4)
         phases = [rng.uniform(0, 2 * np.pi, 16) for _ in range(3)]
-        op = wf.rx_operator(geom, 2, phases)
-        got = wf.rx_propagation(op)
-        u1, u2, u3 = op.matrices
+        got = rx_dense(geom, 2, phases)
+        u1, u2, u3 = wf.build_rx_factors(geom, 2)
         want = u1 @ np.diag(np.exp(1j * phases[0])) @ u2 \
             @ np.diag(np.exp(1j * phases[1])) @ u3 @ np.diag(np.exp(1j * phases[2]))
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -191,24 +210,23 @@ class TestPropagationOperators:
 
     def test_no_layers_is_identity(self):
         geom = mini_geometry(0, 0)
-        top = wf.tx_operator(geom, 1, [])
-        assert np.array_equal(wf.tx_propagation(top), np.eye(4))
-        rop = wf.rx_operator(geom, 2, [])
-        assert np.array_equal(wf.rx_propagation(rop), np.eye(4))
+        assert np.array_equal(tx_dense(geom, 1, []), np.eye(4))
+        assert np.array_equal(rx_dense(geom, 2, []), np.eye(4))
 
     def test_shapes(self):
         geom = mini_geometry(2, 2)
-        assert wf.tx_propagation(wf.tx_operator(geom, 1, [np.zeros(16)] * 2)).shape == (16, 4)
-        assert wf.rx_propagation(wf.rx_operator(geom, 1, [np.zeros(16)] * 2)).shape == (4, 16)
+        assert tx_dense(geom, 1, [np.zeros(16)] * 2).shape == (16, 4)
+        assert rx_dense(geom, 1, [np.zeros(16)] * 2).shape == (4, 16)
 
     def test_phase_layers_preserve_chain_norm_bound(self):
         # the chained operator norm with phases never exceeds the product of
         # the factors' largest singular values (phases preserve norms)
         geom = mini_geometry(2, 2)
         rng = np.random.default_rng(5)
-        op = wf.tx_operator(geom, 1, [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)])
-        bound = np.prod([np.linalg.svd(m, compute_uv=False)[0] for m in op.matrices])
-        top = np.linalg.svd(wf.tx_propagation(op), compute_uv=False)[0]
+        top = np.linalg.svd(tx_dense(geom, 1, [rng.uniform(0, 2 * np.pi, 16)
+                                               for _ in range(2)]), compute_uv=False)[0]
+        bound = np.prod([np.linalg.svd(m, compute_uv=False)[0]
+                         for m in wf.build_tx_factors(geom, 1)])
         assert top <= bound * (1 + 1e-12)
 
     def test_deterministic_rebuild(self):
@@ -219,15 +237,17 @@ class TestPropagationOperators:
             assert np.array_equal(m1, m2)
 
     def test_wrong_side_rejected(self):
+        # TX factors map 4 antennas to 16 units; run from the RX side, the
+        # chain does not close
         geom = mini_geometry(1, 1)
-        op = wf.tx_operator(geom, 1, [np.zeros(16)])
-        with pytest.raises(wf.GeometryError):
-            wf.rx_propagation(op)
+        with pytest.raises(ag.GraphError):
+            emnn.rx_sim_forward(np.eye(16, dtype=complex), wf.build_tx_factors(geom, 1),
+                                [np.zeros(16)])
 
     def test_dimension_mismatch_rejected(self):
         geom = mini_geometry(2, 2)
-        with pytest.raises(wf.GeometryError):
-            wf.tx_propagation(wf.tx_operator(geom, 1, [np.zeros(16), np.zeros(9)]))
+        with pytest.raises(ag.GraphError):
+            tx_dense(geom, 1, [np.zeros(16), np.zeros(9)])
 
 
 class TestGeometryConfig:
@@ -248,8 +268,9 @@ class TestGeometryConfig:
 def test_pair_conversion_roundtrip():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    re, im = wf.complex_to_pair(m)
-    assert np.array_equal(wf.pair_to_complex(re, im), m)
+    pair = wf.complex_to_pair(m)
+    assert np.array_equal(pair, np.concatenate([m.real, m.imag], axis=1))
+    assert np.array_equal(ag.to_complex(pair).data, m)
 
 
 def test_wrap_phase_range():
