@@ -7,13 +7,35 @@ arXiv:0906.4835); under it a linear map backpropagates through its
 conjugate transpose. Real and complex nodes meet only in `phase_shift`
 (real phases) and in `to_complex` / `to_pair`, which cross between complex
 fields and the paired real rows [re | im] of the digital networks.
+
+Tape. Every node is created after its parents, so creation order is a
+topological order. Each grad-requiring op result is recorded on the tape of
+its graph, a list of weak references in creation order; graphs built apart
+share one tape from the first op that joins them. `backward` walks the
+loss's tape in reverse, with no graph search. The tape holds its nodes
+weakly, so a graph that is dropped without being differentiated is freed
+like any other object.
+
+Lazy gradients. `backward` first clears the gradient of every node it will
+walk; a node's first contribution then becomes its gradient, and later ones
+are added out of place with `accumulate`. Nothing is allocated for a node
+that no gradient reaches, and a gradient may share its buffer with another
+node's, so treat gradients as read-only.
+
+No-grad scope. Inside `with no_grad():` ops compute values only: their
+results keep no parents, no backward closure and no tape entry.
 """
 
 import warnings
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 
 LOG_EPS = 1e-12
+
+# False inside `no_grad`: op results then record nothing for backward
+_grad_enabled = True
 
 
 class GraphError(ValueError):
@@ -42,7 +64,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "decay", "name", "op",
-                 "_parents", "_backward")
+                 "_parents", "_backward", "_tape", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None, decay=False):
         data = np.asarray(data)
@@ -55,6 +77,7 @@ class Tensor:
         self.op = None
         self._parents = ()
         self._backward = None
+        self._tape = None
 
     @property
     def shape(self):
@@ -73,14 +96,69 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_grad():
+    """Scope in which ops compute values only (nothing is kept for backward).
+
+    The switch is process-wide, not per thread.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _merge(a, b):
+    """One tape for two graphs that an op joins: the shorter one is appended.
+
+    The graphs share no node yet, so either order stays topological.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    for ref in b:
+        node = ref()
+        if node is not None:
+            node._tape = a
+            a.append(ref)
+    return a
+
+
 def _result(data, parents, backward, op=None):
-    out = Tensor(data)
+    """Op result; numpy already returns float64 / complex128 here, so the
+    value is kept as is rather than coerced like a leaf's."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = False
+    out.decay = False
+    out.name = None
     out.op = op
+    out._parents = ()
+    out._backward = None
+    out._tape = None
+    if not _grad_enabled:
+        return out
     out._parents = tuple(parents)
-    if any(p.requires_grad for p in parents):
+    tape = None
+    for p in parents:
+        if p.requires_grad:
+            if tape is None:
+                tape = p._tape if p._tape is not None else []
+            elif p._tape is not None and p._tape is not tape:
+                tape = _merge(tape, p._tape)
+    if tape is not None:
         out.requires_grad = True
         out._backward = backward
+        out._tape = tape
+        tape.append(weakref.ref(out))
     return out
+
+
+def accumulate(node, grad):
+    """Add one gradient contribution to `node` (the first one is kept as is)."""
+    node.grad = grad if node.grad is None else node.grad + grad
 
 
 def topo_order(root):
@@ -107,17 +185,24 @@ def topo_order(root):
 def backward(loss):
     """Reverse-accumulate gradients of a scalar loss into the graph's leaves.
 
-    Accumulation order is the fixed reverse topological order, so gradients
-    are bit-deterministic for a fixed graph.
+    Gradients are cleared on every node of the loss's tape and on their
+    parents, then accumulated walking the tape in reverse. Accumulation
+    order is the reverse tape order, fixed for a fixed graph, so gradients
+    are bit-deterministic.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
-    order = topo_order(loss)
-    for node in order:
-        node.grad = np.zeros_like(node.data) if node.requires_grad else None
+    if loss._tape is None:
+        nodes = [loss]
+    else:
+        nodes = [node for node in (ref() for ref in loss._tape) if node is not None]
+    for node in nodes:
+        node.grad = None
+        for p in node._parents:
+            p.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None:
+    for node in reversed(nodes):
+        if node.grad is not None and node._backward is not None:
             node._backward(node)
 
 
@@ -129,9 +214,9 @@ def add(a, b):
     a, b = _lift(a), _lift(b)
     def bw(out):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad, b.data.shape)
+            accumulate(b, _unbroadcast(out.grad, b.data.shape))
     return _result(a.data + b.data, (a, b), bw, op="add")
 
 
@@ -139,9 +224,9 @@ def sub(a, b):
     a, b = _lift(a), _lift(b)
     def bw(out):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(out.grad, b.data.shape)
+            accumulate(b, -_unbroadcast(out.grad, b.data.shape))
     return _result(a.data - b.data, (a, b), bw, op="sub")
 
 
@@ -149,9 +234,9 @@ def hadamard(a, b):
     a, b = _lift(a), _lift(b)
     def bw(out):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
+            accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+            accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
     return _result(a.data * b.data, (a, b), bw, op="hadamard")
 
 
@@ -160,7 +245,7 @@ def scale(a, s):
     s = float(s)
     def bw(out):
         if a.requires_grad:
-            a.grad += s * out.grad
+            accumulate(a, s * out.grad)
     return _result(a.data * s, (a,), bw, op="scale")
 
 
@@ -173,9 +258,9 @@ def matmul(a, b):
     def bw(out):
         # conj() of a real array is the array itself
         if a.requires_grad:
-            a.grad += out.grad @ b.data.conj().T
+            accumulate(a, out.grad @ b.data.conj().T)
         if b.requires_grad:
-            b.grad += a.data.conj().T @ out.grad
+            accumulate(b, a.data.conj().T @ out.grad)
     return _result(a.data @ b.data, (a, b), bw, op="matmul")
 
 
@@ -188,7 +273,7 @@ def concat(parts, axis=-1):
             if p.requires_grad:
                 idx = [slice(None)] * out.grad.ndim
                 idx[axis] = slice(lo, hi)
-                p.grad += out.grad[tuple(idx)]
+                accumulate(p, out.grad[tuple(idx)])
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw, op="concat")
 
 
@@ -199,7 +284,9 @@ def slice_axis(a, axis, start, length):
     idx = tuple(idx)
     def bw(out):
         if a.requires_grad:
-            a.grad[idx] += out.grad
+            full = np.zeros_like(a.data)
+            full[idx] = out.grad
+            accumulate(a, full)
     return _result(a.data[idx].copy(), (a,), bw, op="slice")
 
 
@@ -210,7 +297,8 @@ def reduce_sum(a, axis=None, keepdims=False):
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(g, a.data.shape)
+            # a writable copy: the read-only broadcast view must not become a.grad
+            accumulate(a, np.broadcast_to(g, a.data.shape).copy())
     return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw, op="reduce_sum")
 
 
@@ -229,7 +317,7 @@ def pow_scalar(a, k):
             # subgradient 0 at the x = 0 singularity of fractional powers
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = k * a.data ** (k - 1.0)
-            a.grad += out.grad * np.where(np.isfinite(d), d, 0.0)
+            accumulate(a, out.grad * np.where(np.isfinite(d), d, 0.0))
     return _result(data, (a,), bw, op="pow")
 
 
@@ -238,7 +326,7 @@ def relu(a):
     mask = a.data > 0
     def bw(out):
         if a.requires_grad:
-            a.grad += out.grad * mask
+            accumulate(a, out.grad * mask)
     return _result(np.where(mask, a.data, 0.0), (a,), bw, op="relu")
 
 
@@ -249,7 +337,7 @@ def sigmoid(a):
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     def bw(out):
         if a.requires_grad:
-            a.grad += out.grad * y * (1.0 - y)
+            accumulate(a, out.grad * y * (1.0 - y))
     return _result(y, (a,), bw, op="sigmoid")
 
 
@@ -262,7 +350,7 @@ def log(a):
     safe = np.maximum(a.data, LOG_EPS)
     def bw(out):
         if a.requires_grad:
-            a.grad += out.grad / safe * (~clipped)
+            accumulate(a, out.grad / safe * (~clipped))
     return _result(np.log(safe), (a,), bw, op="log")
 
 
@@ -274,7 +362,7 @@ def softmax(a, axis=-1):
     def bw(out):
         if a.requires_grad:
             dot = (out.grad * y).sum(axis=axis, keepdims=True)
-            a.grad += y * (out.grad - dot)
+            accumulate(a, y * (out.grad - dot))
     return _result(y, (a,), bw, op="softmax")
 
 
@@ -321,12 +409,12 @@ def batchnorm(x, gamma, beta, state, training):
         def bw(out):
             dxhat = out.grad * gamma.data
             if gamma.requires_grad:
-                gamma.grad += (out.grad * xhat).sum(axis=0)
+                accumulate(gamma, (out.grad * xhat).sum(axis=0))
             if beta.requires_grad:
-                beta.grad += out.grad.sum(axis=0)
+                accumulate(beta, out.grad.sum(axis=0))
             if x.requires_grad:
-                x.grad += inv_std / n * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+                accumulate(x, inv_std / n * (
+                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)))
         return _result(gamma.data * xhat + beta.data, (x, gamma, beta), bw,
                        op="batchnorm")
 
@@ -335,11 +423,11 @@ def batchnorm(x, gamma, beta, state, training):
 
     def bw(out):
         if gamma.requires_grad:
-            gamma.grad += (out.grad * xhat).sum(axis=0)
+            accumulate(gamma, (out.grad * xhat).sum(axis=0))
         if beta.requires_grad:
-            beta.grad += out.grad.sum(axis=0)
+            accumulate(beta, out.grad.sum(axis=0))
         if x.requires_grad:
-            x.grad += out.grad * gamma.data * inv_std
+            accumulate(x, out.grad * gamma.data * inv_std)
     return _result(gamma.data * xhat + beta.data, (x, gamma, beta), bw,
                    op="batchnorm")
 
@@ -362,9 +450,9 @@ def phase_shift(x, theta):
 
     def bw(out):
         if theta.requires_grad:
-            theta.grad += (out.grad * y.conj()).imag.sum(axis=0)
+            accumulate(theta, (out.grad * y.conj()).imag.sum(axis=0))
         if x.requires_grad:
-            x.grad += out.grad * rot.conj()
+            accumulate(x, out.grad * rot.conj())
     return _result(y, (x, theta), bw, op="phase")
 
 
@@ -377,8 +465,7 @@ def to_complex(x):
 
     def bw(out):
         if x.requires_grad:
-            x.grad[:, :n] += out.grad.real
-            x.grad[:, n:] += out.grad.imag
+            accumulate(x, np.concatenate([out.grad.real, out.grad.imag], axis=1))
     z = np.empty((x.data.shape[0], n), dtype=np.complex128)
     z.real, z.imag = x.data[:, :n], x.data[:, n:]
     return _result(z, (x,), bw, op="to_complex")
@@ -391,7 +478,7 @@ def to_pair(z):
 
     def bw(out):
         if z.requires_grad:
-            z.grad += out.grad[:, :n] + 1j * out.grad[:, n:]
+            accumulate(z, out.grad[:, :n] + 1j * out.grad[:, n:])
     return _result(np.concatenate([z.data.real, z.data.imag], axis=1), (z,), bw,
                    op="to_pair")
 
@@ -409,7 +496,8 @@ def grad_check(build_loss, params, h=1e-6, floor=1e-3):
     comparison degrades to an absolute one at floor scale, which still
     catches wrong rules (a sign or factor error shows up at the gradient's
     own magnitude) while not amplifying the finite-difference noise floor on
-    near-zero gradients into spurious ratios.
+    near-zero gradients into spurious ratios. Only the analytic pass records
+    a graph; the finite-difference rebuilds run under `no_grad`.
     """
     if not 1e-8 <= h <= 1e-4:
         raise ValueError("step size h outside [1e-8, 1e-4]")
@@ -423,10 +511,11 @@ def grad_check(build_loss, params, h=1e-6, floor=1e-3):
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + h
-            hi = float(build_loss().data)
-            flat[i] = keep - h
-            lo = float(build_loss().data)
+            with no_grad():
+                flat[i] = keep + h
+                hi = float(build_loss().data)
+                flat[i] = keep - h
+                lo = float(build_loss().data)
             flat[i] = keep
             fd[i] = (hi - lo) / (2.0 * h)
         fd = fd.reshape(p.data.shape)

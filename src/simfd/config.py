@@ -8,6 +8,7 @@ be raised via the file or the CLI's --full-scale flag).
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .wavefield import C_LIGHT, GeometryConfig, GeometryError, TerminalLayout
@@ -212,16 +213,25 @@ def _optional(kind, value):
     return None if value is None else kind(value)
 
 
+def _numbers(values):
+    """Tuple of real numbers, kept as given so integer powers keep the digest."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"not a number: {v!r}")
+    return values
+
+
 def config_from_dict(doc):
     try:
         system = doc["system"]
         sim = doc["sim"]
         terminals = tuple(
             TerminalLayout(
-                tx_antenna_grid=tuple(t["tx_antennas"]),
-                rx_antenna_grid=tuple(t["rx_antennas"]),
-                tx_unit_grid=tuple(t["tx_units"]),
-                rx_unit_grid=tuple(t["rx_units"]),
+                tx_antenna_grid=tuple(int(n) for n in t["tx_antennas"]),
+                rx_antenna_grid=tuple(int(n) for n in t["rx_antennas"]),
+                tx_unit_grid=tuple(int(n) for n in t["tx_units"]),
+                rx_unit_grid=tuple(int(n) for n in t["rx_units"]),
                 tx_layers=int(t["tx_layers"]),
                 rx_layers=int(t["rx_layers"]),
             )
@@ -270,8 +280,8 @@ def config_from_dict(doc):
         evaluation = EvalConfig(
             monte_carlo=int(eval_doc.get("monte_carlo", 10)),
             test_scale=int(eval_doc.get("test_scale", 10000)),
-            power_sweep_dbm=tuple(eval_doc.get("power_sweep_dbm",
-                                               (0.0, 10.0, 20.0, 30.0))),
+            power_sweep_dbm=_numbers(eval_doc.get("power_sweep_dbm",
+                                                  (0.0, 10.0, 20.0, 30.0))),
             eval_batch=int(eval_doc.get("eval_batch", 2048)),
             seed=int(eval_doc.get("seed", 1234)),
         )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autograd as ag
 from . import config as cfg_mod
 from . import emnn
 from . import training
@@ -102,8 +103,9 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
     """BER of one model on one frozen realization at one power.
 
     Runs the forward in evaluation mode (batchnorm running statistics,
-    receiver noise on), hard-decides, and counts errors over exactly
-    `test_scale` symbols. Deterministic for a fixed rng state.
+    receiver noise on) inside `no_grad`, since nothing is differentiated,
+    hard-decides, and counts errors over exactly `test_scale` symbols.
+    Deterministic for a fixed rng state.
     """
     if batch_size is None:
         batch_size = model.config.evaluation.eval_batch
@@ -118,8 +120,9 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
         if remaining - n == 1:
             n += 1  # fold a lone leftover symbol into this batch
         bits = rng.integers(0, 2, (n, total_bits)).astype(float)
-        soft = model.forward(bits, np.full(n, float(power_dbm)), realization,
-                             rng=rng, training=False, noise=True)
+        with ag.no_grad():
+            soft = model.forward(bits, np.full(n, float(power_dbm)), realization,
+                                 rng=rng, training=False, noise=True)
         decided = emnn.hard_decision(soft)
         e, t, _ = ber(bits, decided)
         errors += e

@@ -63,10 +63,15 @@ def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
 
 
 class AdamW:
-    """Moment state over a parameter list; decay applies only where flagged.
+    """AdamW over a parameter list, one vectorized update per step.
 
-    Phase vectors, biases, and batchnorm parameters carry decay=False and are
-    excluded from weight decay.
+    The trainables live in one flat float64 buffer, each parameter's `data`
+    a view into it, with flat first and second moments beside it. Tensors
+    flagged `decay` come first, so weight decay covers a prefix of the
+    buffer; phase vectors, biases and batchnorm parameters carry
+    decay=False and are excluded from it. `m` and `v` map each name to its
+    view of the moments. Rebinding a parameter's `data` afterwards detaches
+    it from the optimizer.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
@@ -74,19 +79,33 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._layout = [p for p in self.params if p.decay] + \
+            [p for p in self.params if not p.decay]
+        self.flat = np.concatenate([p.data.ravel() for p in self._layout])
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
+        self.m, self.v, offset = {}, {}, 0
+        for p in self._layout:
+            span = slice(offset, offset + p.data.size)
+            p.data = self.flat[span].reshape(p.data.shape)
+            self.m[p.name] = self._m[span].reshape(p.data.shape)
+            self.v[p.name] = self._v[span].reshape(p.data.shape)
+            offset = span.stop
+        decayed = sum(p.data.size for p in self.params if p.decay)
+        self._spans = ((slice(0, decayed), weight_decay), (slice(decayed, offset), 0.0))
 
     def step(self, lr):
         self.step_count += 1
-        for p in self.params:
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            try:
-                adamw_step(p.data, grad, self.m[p.name], self.v[p.name],
-                           self.step_count, lr, self.beta1, self.beta2, self.eps,
-                           self.weight_decay if p.decay else 0.0)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(f"{exc} in {p.name}") from exc
+        grad = np.concatenate([p.grad.ravel() if p.grad is not None
+                               else np.zeros(p.data.size) for p in self._layout])
+        try:
+            for span, wd in self._spans:
+                adamw_step(self.flat[span], grad[span], self._m[span], self._v[span],
+                           self.step_count, lr, self.beta1, self.beta2, self.eps, wd)
+        except TrainingDiverged as exc:
+            name = next(p.name for p in self.params if p.grad is not None
+                        and not np.isfinite(p.grad).all())
+            raise TrainingDiverged(f"{exc} in {name}") from exc
 
     def state_arrays(self):
         return ({k: a.copy() for k, a in self.m.items()},
@@ -94,10 +113,11 @@ class AdamW:
 
     def load_state(self, m, v, step_count):
         for key in self.m:
-            if key not in m or m[key].shape != self.m[key].shape:
+            if key not in m or key not in v or m[key].shape != self.m[key].shape \
+                    or v[key].shape != self.v[key].shape:
                 raise CheckpointError(f"optimizer state missing or mismatched for {key}")
-            self.m[key] = m[key].copy()
-            self.v[key] = v[key].copy()
+            self.m[key][...] = m[key]
+            self.v[key][...] = v[key]
         self.step_count = int(step_count)
 
 
@@ -221,7 +241,13 @@ def load_checkpoint(path):
         try:
             arrays = {}
             for spec in header["tensors"]:
-                shape = tuple(spec["shape"])
+                shape = spec["shape"]
+                if not isinstance(shape, list) or any(
+                        isinstance(n, bool) or not isinstance(n, int) or n < 0
+                        for n in shape):
+                    raise CheckpointError(f"tensor {spec['name']} has shape {shape!r}, "
+                                          "not a list of non-negative integers")
+                shape = tuple(shape)
                 count = int(np.prod(shape)) if shape else 1
                 raw = _read_exact(fh, 8 * count, "tensor data")
                 arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

@@ -12,7 +12,7 @@ import numpy as np
 import simfd.autograd as ag
 import simfd.channel as ch
 import simfd.emnn as emnn
-from simfd.autograd import GraphError, _lift, _result
+from simfd.autograd import GraphError, _lift, _result, accumulate
 
 
 def complex_matmul(m_re, m_im, x):
@@ -35,12 +35,12 @@ def complex_matmul(m_re, m_im, x):
     def bw(out):
         gr, gi = out.grad[:, :rows], out.grad[:, rows:]
         if x.requires_grad:
-            x.grad[:, :cols] += gr @ m_re.data + gi @ m_im.data
-            x.grad[:, cols:] += -gr @ m_im.data + gi @ m_re.data
+            accumulate(x, np.concatenate([gr @ m_re.data + gi @ m_im.data,
+                                          -gr @ m_im.data + gi @ m_re.data], axis=1))
         if m_re.requires_grad:
-            m_re.grad += gr.T @ xr + gi.T @ xi
+            accumulate(m_re, gr.T @ xr + gi.T @ xi)
         if m_im.requires_grad:
-            m_im.grad += gi.T @ xr - gr.T @ xi
+            accumulate(m_im, gi.T @ xr - gr.T @ xi)
     return _result(np.concatenate([yr, yi], axis=1), (m_re, m_im, x), bw, op="complex_matmul")
 
 
@@ -62,10 +62,9 @@ def phase_diag_apply(theta, x):
     def bw(out):
         gr, gi = out.grad[:, :n], out.grad[:, n:]
         if theta.requires_grad:
-            theta.grad += (gr * (-s * xr - c * xi) + gi * (c * xr - s * xi)).sum(axis=0)
+            accumulate(theta, (gr * (-s * xr - c * xi) + gi * (c * xr - s * xi)).sum(axis=0))
         if x.requires_grad:
-            x.grad[:, :n] += gr * c + gi * s
-            x.grad[:, n:] += -gr * s + gi * c
+            accumulate(x, np.concatenate([gr * c + gi * s, -gr * s + gi * c], axis=1))
     return _result(np.concatenate([yr, yi], axis=1), (theta, x), bw, op="phase_diag")
 
 

@@ -1,7 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import simfd.autograd as ag
+import simfd.emnn as emnn
+import simfd.training as training
+from simfd.channel import ChannelSource
+from simfd.config import miniature_config
 from paired_real import complex_matmul, phase_diag_apply
 
 
@@ -83,6 +90,75 @@ def test_topo_order_parents_precede_children():
     for node in order:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_separate_graphs_sharing_leaves_get_fresh_gradients():
+    w = ag.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    first = ag.reduce_sum(ag.scale(w, 3.0))
+    second = ag.reduce_sum(ag.hadamard(w, w))
+    ag.backward(first)
+    assert np.array_equal(w.grad, [3.0, 3.0])
+    ag.backward(second)
+    assert np.array_equal(w.grad, [2.0, 4.0])
+    # a graph can be walked again, and again starts from nothing
+    ag.backward(first)
+    assert np.array_equal(w.grad, [3.0, 3.0])
+
+
+def test_graphs_joined_by_an_op_share_one_tape():
+    a = ag.Tensor(np.ones(2), requires_grad=True)
+    b = ag.Tensor(np.ones(2), requires_grad=True)
+    left, right = ag.scale(a, 2.0), ag.scale(b, 3.0)
+    assert left._tape is not right._tape
+    joined = ag.add(left, right)
+    assert left._tape is right._tape is joined._tape
+    ag.backward(ag.reduce_sum(joined))
+    assert np.array_equal(a.grad, [2.0, 2.0])
+    assert np.array_equal(b.grad, [3.0, 3.0])
+
+
+def test_no_grad_scope_records_nothing():
+    x = ag.Tensor(np.ones((2, 3)), requires_grad=True)
+    w = ag.Tensor(np.ones((3, 2)), requires_grad=True)
+    h = ag.matmul(x, w)
+    tape_length = len(h._tape)
+    with ag.no_grad():
+        y = ag.relu(ag.add(h, 1.0))
+    assert y.op == "relu" and not y.requires_grad
+    assert y._parents == () and y._backward is None and y._tape is None
+    assert len(h._tape) == tape_length
+    assert ag.matmul(x, w).requires_grad  # recording resumes after the scope
+
+
+def _mini_forward(model, realization, rng):
+    bits = rng.integers(0, 2, (16, model.config.total_bits)).astype(float)
+    return model.forward(bits, np.full(16, 25.0), realization, rng=rng,
+                         training=False, noise=True)
+
+
+def test_no_grad_forward_has_no_parents():
+    cfg = miniature_config()
+    model = emnn.Emnn(cfg, rng=np.random.default_rng(0))
+    realization = ChannelSource(cfg).instantaneous(3)
+    with ag.no_grad():
+        soft = _mini_forward(model, realization, np.random.default_rng(1))
+    assert soft._parents == () and soft._tape is None
+    assert ag.topo_order(soft) == [soft]
+    graded = _mini_forward(model, realization, np.random.default_rng(1))
+    assert np.array_equal(soft.data, graded.data)
+
+
+def test_undifferentiated_graph_is_freed():
+    cfg = miniature_config()
+    model = emnn.Emnn(cfg, rng=np.random.default_rng(0))
+    realization = ChannelSource(cfg).instantaneous(3)
+    rng = np.random.default_rng(2)
+    soft = _mini_forward(model, realization, rng)
+    loss = training.bce_loss(np.zeros(soft.shape), soft)
+    refs = [weakref.ref(loss), weakref.ref(soft), weakref.ref(soft._parents[0])]
+    del soft, loss
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_log_clamps_and_warns():
@@ -332,6 +408,19 @@ def test_grad_check_linear_layer_tight():
         return ag.reduce_sum(ag.hadamard(y, y))
 
     assert ag.grad_check(build, [w], h=1e-6) < 1e-7
+
+
+def test_grad_check_records_only_the_analytic_pass():
+    w = ag.Tensor(np.array([[0.5, -1.0], [2.0, 0.3]]), requires_grad=True)
+    recorded = []
+
+    def build():
+        loss = ag.reduce_sum(ag.hadamard(ag.matmul(ag.Tensor(np.eye(2)), w), w))
+        recorded.append(loss.requires_grad)
+        return loss
+
+    assert ag.grad_check(build, [w]) < 1e-7
+    assert recorded == [True] + [False] * 8
 
 
 def test_grad_check_rejects_bad_step():

@@ -80,6 +80,34 @@ class TestEvaluate:
                                       np.random.default_rng(6))
         assert bits == 777 * quick_config.total_bits
 
+    def test_no_grad_counts_match_grad_mode_forward(self, quick_base, quick_config,
+                                                    monkeypatch):
+        model = emnn.Emnn(quick_config, params=quick_base.params)
+        real = ChannelSource(quick_config).instantaneous(1)
+        decided = emnn.hard_decision
+        recorded = []
+
+        def spy(soft):
+            recorded.append(soft.requires_grad or soft._parents != ())
+            return decided(soft)
+
+        monkeypatch.setattr(emnn, "hard_decision", spy)
+        got = ev.evaluate(model, real, 20.0, 500, np.random.default_rng(9),
+                          batch_size=256)
+        monkeypatch.undo()
+        assert recorded == [False, False]  # evaluate's forwards record no graph
+        rng = np.random.default_rng(9)
+        errors = counted = 0
+        for n in (256, 244):
+            bits = rng.integers(0, 2, (n, quick_config.total_bits)).astype(float)
+            soft = model.forward(bits, np.full(n, 20.0), real, rng=rng,
+                                 training=False, noise=True)
+            assert soft.requires_grad  # a graph-recording forward
+            e, t, _ = ev.ber(bits, emnn.hard_decision(soft))
+            errors += e
+            counted += t
+        assert got == (errors, counted, errors / counted)
+
     def test_lone_leftover_symbol_is_folded_not_padded(self):
         cfg = miniature_config()
         model = emnn.Emnn(cfg, rng=np.random.default_rng(7))
@@ -324,6 +352,29 @@ class TestConfigFile:
         doc[section][key] = value
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["tx_antennas", "rx_units"])
+    def test_non_integer_grid_is_config_error(self, quick_config, key):
+        from simfd.config import config_from_dict
+        doc = quick_config.to_dict()
+        doc["sim"]["terminals"][0][key] = "ab"
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", ["x", True, None])
+    def test_non_numeric_power_sweep_is_config_error(self, quick_config, entry):
+        from simfd.config import config_from_dict
+        doc = quick_config.to_dict()
+        doc["evaluation"]["power_sweep_dbm"] = [20.0, entry]
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_numeric_power_sweep_is_kept_as_given(self, quick_config):
+        from simfd.config import config_from_dict
+        doc = quick_config.to_dict()
+        doc["evaluation"]["power_sweep_dbm"] = [20, 30.0]
+        sweep = config_from_dict(doc).evaluation.power_sweep_dbm
+        assert sweep == (20, 30.0) and isinstance(sweep[0], int)
 
     def test_optional_finetune_fields_are_coerced(self, quick_config):
         from simfd.config import config_from_dict

@@ -125,6 +125,40 @@ class TestAdamW:
             opt.step(0.1)
 
 
+    def test_fused_step_matches_per_tensor_reference(self):
+        rng = np.random.default_rng(12)
+        shapes = [(3, 2), (4,), (2, 2), (5,), (1, 3)]
+        decay = [True, False, True, False, False]
+        params = [ag.Tensor(rng.standard_normal(shape), requires_grad=True,
+                            name=f"p{i}", decay=d)
+                  for i, (shape, d) in enumerate(zip(shapes, decay))]
+        reference = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+                     for p in params]
+        opt = training.AdamW(params, weight_decay=0.05)
+        for step in range(1, 21):
+            lr = 0.01 * 0.9 ** step
+            for i, p in enumerate(params):
+                p.grad = None if i == 1 else rng.standard_normal(p.shape)
+            opt.step(lr)
+            for p, (data, m, v) in zip(params, reference):
+                grad = np.zeros(p.shape) if p.grad is None else p.grad
+                training.adamw_step(data, grad, m, v, step, lr,
+                                    weight_decay=0.05 if p.decay else 0.0)
+                assert np.array_equal(p.data, data)
+                assert np.array_equal(opt.m[p.name], m)
+                assert np.array_equal(opt.v[p.name], v)
+        assert all(np.shares_memory(p.data, opt.flat) for p in params)
+
+    def test_non_finite_gradient_names_the_tensor(self):
+        a = ag.Tensor(np.ones(2), requires_grad=True, name="a", decay=True)
+        b = ag.Tensor(np.ones(3), requires_grad=True, name="b")
+        a.grad = np.zeros(2)
+        b.grad = np.array([0.0, np.inf, 0.0])
+        opt = training.AdamW([a, b])
+        with pytest.raises(training.TrainingDiverged, match="non-finite gradient in b"):
+            opt.step(0.1)
+
+
 class TestLrSchedule:
     def test_epoch_zero_is_base_rate(self, quick_config):
         tc = replace(quick_config.training, learning_rate=0.005, lr_decay=0.95,
@@ -270,7 +304,7 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("fault", [
         "truncated_version", "truncated_header_length", "missing_running_var",
         "missing_opt_moment", "missing_opt_step", "wrong_shape_running_mean",
-        "trailing_bytes"])
+        "non_integer_shape", "trailing_bytes"])
     def test_malformed_file_is_checkpoint_error(self, quick_checkpoint, tmp_path, fault):
         path = tmp_path / "g.ckpt"
         training.save_checkpoint(quick_checkpoint, path)
@@ -310,6 +344,8 @@ def rewrite_checkpoint(blob, fault):
         offset += 8 * count
     if fault == "missing_opt_step":
         del header["opt_step"]
+    elif fault == "non_integer_shape":
+        header["tensors"][0]["shape"] = ["a"]
     else:
         suffix = {"missing_running_var": ".running_var",
                   "missing_opt_moment": "opt.m.t1.tx.w0",
