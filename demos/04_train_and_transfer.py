@@ -36,9 +36,9 @@ ft_sm = training.smoothed([h[1] for h in tuned.history], 50)
 print(f"  fine-tune loss: start = {ft_sm[0]:.3f}, final = {ft_sm[-1]:.3f}")
 
 print("training the same realization from scratch for comparison...")
-_, _, hist, _, _ = training._train_run(cfg, None, 7, cfg.training.epochs,
-                                       frozen=realization)
-scratch_sm = training.smoothed([h[1] for h in hist], 50)
+scratch = training._train_run(cfg, None, 7, cfg.training.epochs,
+                              frozen=realization)
+scratch_sm = training.smoothed([h[1] for h in scratch.history], 50)
 print(f"  from-scratch loss after {len(scratch_sm)} epochs = {scratch_sm[-1]:.3f}")
 print(f"  the fine-tune started below that after "
       f"{next((i + 1 for i, v in enumerate(ft_sm) if v <= scratch_sm[-1]), '?')} "

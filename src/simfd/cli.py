@@ -6,7 +6,6 @@ single machine-parsable line on stderr.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,10 +27,7 @@ def resolve_config(name_or_path):
     path = Path(name_or_path)
     if not path.exists():
         raise ConfigError(f"config file not found: {name_or_path}")
-    try:
-        return load_config(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return load_config(path)
 
 
 def full_grad_check(config, seed=0, batch=8, h=1e-6, power_dbm=10.0):

@@ -8,10 +8,12 @@ be raised via the file or the CLI's --full-scale flag).
 
 import hashlib
 import json
+import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import reduce
 
-from .wavefield import C_LIGHT, GeometryConfig, GeometryError, TerminalLayout
+from .wavefield import GeometryConfig, GeometryError, TerminalLayout
 
 
 class ConfigError(ValueError):
@@ -81,6 +83,8 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr decay must be in (0, 1]")
+        if self.lr_decay_interval < 1:
+            raise ConfigError("lr decay interval must be >= 1")
         if self.power_min_dbm > self.power_max_dbm:
             raise ConfigError("power range is inverted")
         if self.restarts < 1:
@@ -118,9 +122,6 @@ class SystemConfig:
     trainable_power: bool = False
     label: str = "default"
 
-    def bits(self, q):
-        return self.n_bits[q - 1]
-
     @property
     def total_bits(self):
         return self.n_bits[0] + self.n_bits[1]
@@ -139,169 +140,201 @@ class SystemConfig:
         self.evaluation.validate()
         return self
 
-    # -- serialization ------------------------------------------------------
-
     def to_dict(self):
-        geom = self.geometry
-        return {
-            "system": {
-                "frequency_hz": geom.frequency,
-                "light_speed": geom.light_speed,
-                "distance_m": self.channel.distance,
-                "bits": list(self.n_bits),
-                "label": self.label,
-            },
-            "sim": {
-                "unit_spacing_m": geom.unit_spacing,
-                "layer_spacing_m": geom.layer_spacing,
-                "terminals": [
-                    {
-                        "tx_antennas": list(t.tx_antenna_grid),
-                        "rx_antennas": list(t.rx_antenna_grid),
-                        "tx_units": list(t.tx_unit_grid),
-                        "rx_units": list(t.rx_unit_grid),
-                        "tx_layers": t.tx_layers,
-                        "rx_layers": t.rx_layers,
-                    }
-                    for t in geom.terminals
-                ],
-            },
-            "channel": {
-                "reference_distance_m": self.channel.reference_distance,
-                "path_loss_exponent": self.channel.path_loss_exponent,
-                "shadowing_db": self.channel.shadowing_db,
-                "noise_dbm": self.channel.noise_dbm,
-                "si_distance_m": self.channel.si_distance,
-                "si_shadowing_db": self.channel.si_shadowing_db,
-                "si_isolation_db": self.channel.si_isolation_db,
-                "coherence": self.channel.coherence,
-                "si_coherence": self.channel.si_coherence,
-            },
-            "training": {
-                "epochs": self.training.epochs,
-                "batch_size": self.training.batch_size,
-                "learning_rate": self.training.learning_rate,
-                "lr_decay": self.training.lr_decay,
-                "lr_decay_interval": self.training.lr_decay_interval,
-                "lr_floor": self.training.lr_floor,
-                "weight_decay": self.training.weight_decay,
-                "power_alpha": self.training.power_alpha,
-                "power_beta": self.training.power_beta,
-                "power_range_dbm": [self.training.power_min_dbm,
-                                    self.training.power_max_dbm],
-                "finetune_epochs": self.training.finetune_epochs,
-                "finetune_lr": self.training.finetune_lr,
-                "restarts": self.training.restarts,
-                "trainable_power": self.trainable_power,
-                "seed": self.training.seed,
-            },
-            "evaluation": {
-                "monte_carlo": self.evaluation.monte_carlo,
-                "test_scale": self.evaluation.test_scale,
-                "power_sweep_dbm": list(self.evaluation.power_sweep_dbm),
-                "eval_batch": self.evaluation.eval_batch,
-                "seed": self.evaluation.seed,
-            },
-        }
+        return {section: _write(self, rows) for section, rows in _SCHEMA.items()}
 
     def digest(self):
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _optional(kind, value):
-    return None if value is None else kind(value)
+# ---------------------------------------------------------------------------
+# the config document schema
+# ---------------------------------------------------------------------------
+
+def _int(value):
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
-def _numbers(values):
-    """Tuple of real numbers, kept as given so integer powers keep the digest."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"not a number: {v!r}")
+def _real(value):
+    """A finite real number, kept as given so integer powers keep the digest."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return value
+
+
+def _float(value):
+    return _real(float(value)) if isinstance(value, str) else float(_real(value))
+
+
+def _exact(kind):
+    def coerce(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"not a {kind.__name__}: {value!r}")
+        return value
+    return coerce
+
+
+def _optional(kind):
+    return lambda value: None if value is None else kind(value)
+
+
+def _tuple(kind, length=None):
+    def coerce(values):
+        if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+            raise ValueError(f"not a list of the expected length: {values!r}")
+        return tuple(kind(v) for v in values)
+    return coerce
+
+
+def _terminal(doc):
+    return _build(TerminalLayout, _read(doc, _TERMINAL, "terminal"))
+
+
+# Rows are (JSON key, attribute path(s), coercion). A path is dotted from the
+# owning dataclass; a row naming several space-separated paths holds a list
+# with one entry per path. A key may be omitted exactly when its field has a
+# default, which then applies.
+_TERMINAL = (
+    ("tx_antennas", "tx_antenna_grid", _tuple(_int, 2)),
+    ("rx_antennas", "rx_antenna_grid", _tuple(_int, 2)),
+    ("tx_units", "tx_unit_grid", _tuple(_int, 2)),
+    ("rx_units", "rx_unit_grid", _tuple(_int, 2)),
+    ("tx_layers", "tx_layers", _int),
+    ("rx_layers", "rx_layers", _int),
+)
+
+_SCHEMA = {
+    "system": (
+        ("frequency_hz", "geometry.frequency", _float),
+        ("light_speed", "geometry.light_speed", _float),
+        ("distance_m", "channel.distance", _float),
+        ("bits", "n_bits", _tuple(_int, 2)),
+        ("label", "label", _exact(str)),
+    ),
+    "sim": (
+        ("unit_spacing_m", "geometry.unit_spacing", _optional(_float)),
+        ("layer_spacing_m", "geometry.layer_spacing", _optional(_float)),
+        ("terminals", "geometry.terminals", _tuple(_terminal)),
+    ),
+    "channel": (
+        ("reference_distance_m", "channel.reference_distance", _float),
+        ("path_loss_exponent", "channel.path_loss_exponent", _float),
+        ("shadowing_db", "channel.shadowing_db", _float),
+        ("noise_dbm", "channel.noise_dbm", _float),
+        ("si_distance_m", "channel.si_distance", _float),
+        ("si_shadowing_db", "channel.si_shadowing_db", _float),
+        ("si_isolation_db", "channel.si_isolation_db", _float),
+        ("coherence", "channel.coherence", _float),
+        ("si_coherence", "channel.si_coherence", _float),
+    ),
+    "training": (
+        ("epochs", "training.epochs", _int),
+        ("batch_size", "training.batch_size", _int),
+        ("learning_rate", "training.learning_rate", _float),
+        ("lr_decay", "training.lr_decay", _float),
+        ("lr_decay_interval", "training.lr_decay_interval", _int),
+        ("lr_floor", "training.lr_floor", _float),
+        ("weight_decay", "training.weight_decay", _float),
+        ("power_alpha", "training.power_alpha", _float),
+        ("power_beta", "training.power_beta", _float),
+        ("power_range_dbm", "training.power_min_dbm training.power_max_dbm",
+         _tuple(_float, 2)),
+        ("finetune_epochs", "training.finetune_epochs", _optional(_int)),
+        ("finetune_lr", "training.finetune_lr", _optional(_float)),
+        ("restarts", "training.restarts", _int),
+        ("trainable_power", "trainable_power", _exact(bool)),
+        ("seed", "training.seed", _int),
+    ),
+    "evaluation": (
+        ("monte_carlo", "evaluation.monte_carlo", _int),
+        ("test_scale", "evaluation.test_scale", _int),
+        ("power_sweep_dbm", "evaluation.power_sweep_dbm", _tuple(_real)),
+        ("eval_batch", "evaluation.eval_batch", _int),
+        ("seed", "evaluation.seed", _int),
+    ),
+}
+
+
+def _json(value):
+    if isinstance(value, TerminalLayout):
+        return _write(value, _TERMINAL)
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
+
+
+def _write(obj, rows):
+    doc = {}
+    for key, paths, _ in rows:
+        values = [reduce(getattr, path.split("."), obj) for path in paths.split()]
+        doc[key] = _json(values if len(values) > 1 else values[0])
+    return doc
+
+
+def _object(doc, keys, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} is not an object: {doc!r}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _read(doc, rows, where):
+    """Coerced {path: value} for the keys present in one JSON object."""
+    _object(doc, [key for key, _, _ in rows], where)
+    values = {}
+    for key, paths, coerce in rows:
+        if key not in doc:
+            continue
+        try:
+            value = coerce(doc[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from exc
+        paths = paths.split()
+        if len(paths) > 1:
+            values.update(zip(paths, value))
+        else:
+            values[paths[0]] = value
     return values
 
 
+def _build(owner, values, prefix=""):
+    """An `owner` from dotted-path values, the rest left to its defaults; a
+    missing value for a field without a default raises TypeError."""
+    kwargs = {}
+    for f in fields(owner):
+        path = prefix + f.name
+        if is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, values, path + ".")
+        elif path in values:
+            kwargs[f.name] = values[path]
+    return owner(**kwargs)
+
+
 def config_from_dict(doc):
+    """Validated SystemConfig from a config document; any defect is a ConfigError."""
+    _object(doc, _SCHEMA, "config document")
+    values = {}
+    for section, rows in _SCHEMA.items():
+        values.update(_read(doc.get(section, {}), rows, section))
     try:
-        system = doc["system"]
-        sim = doc["sim"]
-        terminals = tuple(
-            TerminalLayout(
-                tx_antenna_grid=tuple(int(n) for n in t["tx_antennas"]),
-                rx_antenna_grid=tuple(int(n) for n in t["rx_antennas"]),
-                tx_unit_grid=tuple(int(n) for n in t["tx_units"]),
-                rx_unit_grid=tuple(int(n) for n in t["rx_units"]),
-                tx_layers=int(t["tx_layers"]),
-                rx_layers=int(t["rx_layers"]),
-            )
-            for t in sim["terminals"]
-        )
-        geom = GeometryConfig(
-            frequency=float(system["frequency_hz"]),
-            terminals=terminals,
-            light_speed=float(system.get("light_speed", C_LIGHT)),
-            unit_spacing=sim.get("unit_spacing_m"),
-            layer_spacing=sim.get("layer_spacing_m"),
-        )
-        chan_doc = doc.get("channel", {})
-        chan = ChannelConfig(
-            distance=float(system["distance_m"]),
-            reference_distance=float(chan_doc.get("reference_distance_m", 1.0)),
-            path_loss_exponent=float(chan_doc.get("path_loss_exponent", 3.5)),
-            shadowing_db=float(chan_doc.get("shadowing_db", 9.0)),
-            noise_dbm=float(chan_doc.get("noise_dbm", -110.0)),
-            si_distance=float(chan_doc.get("si_distance_m", 0.5)),
-            si_shadowing_db=float(chan_doc.get("si_shadowing_db", 0.0)),
-            si_isolation_db=float(chan_doc.get("si_isolation_db", 0.0)),
-            coherence=float(chan_doc.get("coherence", 0.9)),
-            si_coherence=float(chan_doc.get("si_coherence", 1.0)),
-        )
-        train_doc = doc.get("training", {})
-        prange = train_doc.get("power_range_dbm", [-10.0, 30.0])
-        train = TrainConfig(
-            epochs=int(train_doc.get("epochs", 2000)),
-            batch_size=int(train_doc.get("batch_size", 1000)),
-            learning_rate=float(train_doc.get("learning_rate", 0.005)),
-            lr_decay=float(train_doc.get("lr_decay", 0.95)),
-            lr_decay_interval=int(train_doc.get("lr_decay_interval", 50)),
-            lr_floor=float(train_doc.get("lr_floor", 1e-5)),
-            weight_decay=float(train_doc.get("weight_decay", 1e-4)),
-            power_alpha=float(train_doc.get("power_alpha", 2.0)),
-            power_beta=float(train_doc.get("power_beta", 2.0)),
-            power_min_dbm=float(prange[0]),
-            power_max_dbm=float(prange[1]),
-            finetune_epochs=_optional(int, train_doc.get("finetune_epochs")),
-            finetune_lr=_optional(float, train_doc.get("finetune_lr")),
-            restarts=int(train_doc.get("restarts", 1)),
-            seed=int(train_doc.get("seed", 1)),
-        )
-        eval_doc = doc.get("evaluation", {})
-        evaluation = EvalConfig(
-            monte_carlo=int(eval_doc.get("monte_carlo", 10)),
-            test_scale=int(eval_doc.get("test_scale", 10000)),
-            power_sweep_dbm=_numbers(eval_doc.get("power_sweep_dbm",
-                                                  (0.0, 10.0, 20.0, 30.0))),
-            eval_batch=int(eval_doc.get("eval_batch", 2048)),
-            seed=int(eval_doc.get("seed", 1234)),
-        )
-        cfg = SystemConfig(
-            n_bits=tuple(int(b) for b in system["bits"]),
-            geometry=geom,
-            channel=chan,
-            training=train,
-            evaluation=evaluation,
-            trainable_power=bool(train_doc.get("trainable_power", False)),
-            label=str(system.get("label", "config")),
-        )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed config document: {exc}") from exc
-    return cfg.validate()
+        config = _build(SystemConfig, values)
+    except TypeError as exc:
+        raise ConfigError(f"a required key is missing: {exc}") from exc
+    return config.validate()
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return config_from_dict(doc)
 
 
 def save_config(config, path):

@@ -9,7 +9,7 @@ float.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,19 +131,19 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
     return errors, counted, errors / counted
 
 
-def _eval_one_realization(base, source, index, master_seed, powers, test_scale,
-                          label):
-    config = source.config
-    seed = derive_seed(master_seed, index)
+def _eval_one_realization(base, source, seed, index, powers, test_scale, label):
+    """Realization, fine-tune and power sweep for one row seed; rows of a
+    diverged fine-tune keep their counts but carry ber = nan."""
     rng = np.random.default_rng(seed)
     realization = source.instantaneous(seed)
     tuned = training.finetune(base, realization, rng)
-    model = emnn.Emnn(config, params=tuned.params)
+    model = emnn.Emnn(source.config, params=tuned.params)
     rows = []
     for power in powers:
         errors, bits, ratio = evaluate(model, realization, power, test_scale, rng)
-        rows.append(BerRow(label, float(power), index, seed, bits, errors, ratio))
-    return rows, tuned.diverged
+        rows.append(BerRow(label, float(power), index, seed, bits, errors,
+                           float("nan") if tuned.diverged else ratio))
+    return rows
 
 
 def monte_carlo_eval(base, config=None, master_seed=None, label=None):
@@ -161,44 +161,33 @@ def monte_carlo_eval(base, config=None, master_seed=None, label=None):
     label = config.label if label is None else label
     source = ChannelSource(config)
     report = BerReport()
-
     for index in range(ev.monte_carlo):
-        rows, diverged = _eval_one_realization(
-            base, source, index, master_seed, ev.power_sweep_dbm,
-            ev.test_scale, label)
-        if diverged:
-            rows = [BerRow(r.label, r.power_dbm, r.realization, r.seed,
-                           r.bits, r.errors, float("nan")) for r in rows]
-        report.extend(rows)
+        report.extend(_eval_one_realization(
+            base, source, derive_seed(master_seed, index), index,
+            ev.power_sweep_dbm, ev.test_scale, label))
     report.rows = report.sorted_rows()
     return report
 
 
 def rerun_row(base, row, config=None):
-    """Replay one report row from its recorded seed; must reproduce exactly."""
+    """Replay one report row from its recorded seed; must reproduce exactly.
+
+    The sweep runs up to the row's power, since each power's symbols are
+    drawn from the same generator after those of the powers before it.
+    """
     config = base.config if config is None else config
-    source = ChannelSource(config)
-    rng = np.random.default_rng(row.seed)
-    realization = source.instantaneous(row.seed)
-    tuned = training.finetune(base, realization, rng)
-    model = emnn.Emnn(config, params=tuned.params)
-    for power in config.evaluation.power_sweep_dbm:
-        errors, bits, ratio = evaluate(model, realization, power,
-                                       config.evaluation.test_scale, rng)
-        if float(power) == row.power_dbm:
-            return BerRow(row.label, row.power_dbm, row.realization, row.seed,
-                          bits, errors, ratio)
-    raise ValueError(f"power {row.power_dbm} not in the configured sweep")
+    powers = [float(p) for p in config.evaluation.power_sweep_dbm]
+    if row.power_dbm not in powers:
+        raise ValueError(f"power {row.power_dbm} not in the configured sweep")
+    return _eval_one_realization(
+        base, ChannelSource(config), row.seed, row.realization,
+        powers[:powers.index(row.power_dbm) + 1], config.evaluation.test_scale,
+        row.label)[-1]
 
 
 def baseline_conventional(config):
     """Derived configuration with no stacks: antennas couple directly."""
-    out = cfg_mod.with_layers(config, 0)
-    return cfg_mod.SystemConfig(
-        n_bits=out.n_bits, geometry=out.geometry, channel=out.channel,
-        training=out.training, evaluation=out.evaluation,
-        trainable_power=out.trainable_power,
-        label=f"{config.label}-conventional").validate()
+    return replace(cfg_mod.with_layers(config, 0), label=f"{config.label}-conventional")
 
 
 def sweep_configs(kind, grid, base_config):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import emnn
-from .channel import ChannelSource
+from .channel import ChannelSource, derive_seed
 from .config import config_from_dict
 
 CHECKPOINT_MAGIC = b"SIMFDCKP"
@@ -288,26 +288,22 @@ def _assemble_checkpoint(header, arrays):
 # training loops
 # ---------------------------------------------------------------------------
 
-def _loss_on_batch(model, block, realization, rng):
-    soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
-                         training=True, noise=True)
-    return bce_loss(block.bits, soft)
+def _fit(model, opt, rng, epochs, lr_at, realization_at):
+    """The epoch loop of base training and fine-tuning.
 
-
-def _train_run(config, source, seed, epochs, frozen=None, lr_override=None):
-    """One optimization run from a fresh init; statistical draws unless a
-    frozen realization is given."""
-    tc = config.training
-    rng = np.random.default_rng(seed)
-    model = emnn.Emnn(config, rng=rng)
-    opt = AdamW(model.params.trainables(), weight_decay=tc.weight_decay)
+    Per epoch: the lr, a channel realization, one fresh batch, forward,
+    BCE, backward, AdamW step. A non-finite loss stops the loop. Returns
+    the checkpoint of the last good state.
+    """
     history = []
     diverged = False
     for epoch in range(epochs):
-        lr = lr_schedule(epoch, tc) if lr_override is None else lr_override
-        realization = frozen if frozen is not None else source.statistical(rng)
-        block = sample_batch(rng, config)
-        loss = _loss_on_batch(model, block, realization, rng)
+        lr = lr_at(epoch)
+        realization = realization_at()
+        block = sample_batch(rng, model.config)
+        soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
+                             training=True, noise=True)
+        loss = bce_loss(block.bits, soft)
         value = float(loss.data)
         if not np.isfinite(value):
             diverged = True
@@ -315,7 +311,20 @@ def _train_run(config, source, seed, epochs, frozen=None, lr_override=None):
         ag.backward(loss)
         opt.step(lr)
         history.append((epoch, value, lr))
-    return model.params, opt, history, diverged, rng
+    opt_m, opt_v = opt.state_arrays()
+    return Checkpoint(model.config, model.params, opt_m, opt_v, opt.step_count,
+                      rng.bit_generator.state, history, len(history), diverged)
+
+
+def _train_run(config, source, seed, epochs, frozen=None):
+    """One optimization run from a fresh init; statistical draws unless a
+    frozen realization is given."""
+    rng = np.random.default_rng(seed)
+    model = emnn.Emnn(config, rng=rng)
+    opt = AdamW(model.params.trainables(), weight_decay=config.training.weight_decay)
+    return _fit(
+        model, opt, rng, epochs, lambda epoch: lr_schedule(epoch, config.training),
+        (lambda: frozen) if frozen is not None else (lambda: source.statistical(rng)))
 
 
 def train_base(config, seed=None, epochs=None):
@@ -338,23 +347,14 @@ def train_base(config, seed=None, epochs=None):
     best = None
     best_score = np.inf
     for restart in range(tc.restarts):
-        run_seed = seed if restart == 0 else _restart_seed(seed, restart)
-        params, opt, history, diverged, rng = _train_run(
-            config, source, run_seed, epochs)
-        tail = [h[1] for h in history[-50:]] or [np.inf]
-        score = float(np.mean(tail)) if not diverged else np.inf
+        run_seed = seed if restart == 0 else derive_seed(seed, 0x52535452 + restart)
+        run = _train_run(config, source, run_seed, epochs)
+        tail = [h[1] for h in run.history[-50:]] or [np.inf]
+        score = float(np.mean(tail)) if not run.diverged else np.inf
         if score < best_score or best is None:
             best_score = score
-            opt_m, opt_v = opt.state_arrays()
-            best = Checkpoint(config, params, opt_m, opt_v, opt.step_count,
-                              rng.bit_generator.state, history, len(history),
-                              diverged)
+            best = run
     return best
-
-
-def _restart_seed(seed, restart):
-    from .channel import derive_seed
-    return derive_seed(seed, 0x52535452 + restart)
 
 
 def finetune(base, realization, rng, epochs=None, lr=None):
@@ -375,21 +375,7 @@ def finetune(base, realization, rng, epochs=None, lr=None):
         raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
     opt = AdamW(model.params.trainables(), weight_decay=tc.weight_decay)
     opt.load_state(base.opt_m, base.opt_v, base.opt_step)
-    history = []
-    diverged = False
-    for epoch in range(epochs):
-        block = sample_batch(rng, config)
-        loss = _loss_on_batch(model, block, realization, rng)
-        value = float(loss.data)
-        if not np.isfinite(value):
-            diverged = True
-            break
-        ag.backward(loss)
-        opt.step(lr)
-        history.append((epoch, value, lr))
-    opt_m, opt_v = opt.state_arrays()
-    return Checkpoint(config, model.params, opt_m, opt_v, opt.step_count,
-                      rng.bit_generator.state, history, len(history), diverged)
+    return _fit(model, opt, rng, epochs, lambda epoch: lr, lambda: realization)
 
 
 def smoothed(series, window=50):

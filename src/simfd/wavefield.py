@@ -59,8 +59,6 @@ class GeometryConfig:
     """Frequency, spacings and per-terminal layouts of both stacks.
 
     unit_spacing / layer_spacing of None default to half a wavelength.
-    An explicit wavelength must satisfy frequency * wavelength = light_speed
-    to 1e-6 relative.
     """
 
     frequency: float
@@ -68,12 +66,9 @@ class GeometryConfig:
     light_speed: float = C_LIGHT
     unit_spacing: float = None
     layer_spacing: float = None
-    wavelength_override: float = None
 
     @property
     def wavelength(self):
-        if self.wavelength_override is not None:
-            return self.wavelength_override
         return self.light_speed / self.frequency
 
     @property
@@ -94,10 +89,6 @@ class GeometryConfig:
     def validate(self):
         if self.frequency <= 0:
             raise GeometryError("frequency must be positive")
-        if self.wavelength_override is not None:
-            rel = abs(self.frequency * self.wavelength_override - self.light_speed)
-            if rel > 1e-6 * self.light_speed:
-                raise GeometryError("frequency * wavelength != light speed")
         if self.spacing <= 0 or self.layer_gap <= 0:
             raise GeometryError("spacings must be positive")
         if len(self.terminals) != 2:

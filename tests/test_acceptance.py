@@ -240,10 +240,9 @@ def test_transfer_learning_acceleration(mini, mini_base):
     for i in range(5):
         rseed = ev.derive_seed(mini.evaluation.seed, 100 + i)
         realization = source.instantaneous(rseed)
-        _, _, hist, _, _ = training._train_run(mini, None, 7 + i,
-                                               mini.training.epochs,
-                                               frozen=realization)
-        sm_scratch = training.smoothed([h[1] for h in hist], 50)
+        scratch = training._train_run(mini, None, 7 + i, mini.training.epochs,
+                                      frozen=realization)
+        sm_scratch = training.smoothed([h[1] for h in scratch.history], 50)
         target = sm_scratch[-1]
         needed = next(j + 1 for j, v in enumerate(sm_scratch) if v <= target)
         tuned = training.finetune(mini_base, realization,

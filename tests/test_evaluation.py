@@ -1,16 +1,21 @@
+import copy
 import csv
 import json
+from dataclasses import astuple, replace
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simfd.cli as cli
 import simfd.emnn as emnn
 import simfd.evaluation as ev
 import simfd.training as training
-from dataclasses import replace
 from simfd.channel import ChannelSource
-from simfd.config import ConfigError, miniature_config, save_config
+from simfd.config import (ChannelConfig, ConfigError, config_from_dict,
+                          miniature_config, reference_config, save_config)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +162,22 @@ class TestMonteCarlo:
         assert again.bits == row.bits
         assert again.ber == row.ber
 
+    def test_diverged_rows_replay_as_nan(self):
+        cfg = miniature_config()
+        cfg = replace(
+            cfg,
+            training=replace(cfg.training, epochs=20, restarts=1,
+                             finetune_epochs=30, finetune_lr=1e200),
+            evaluation=replace(cfg.evaluation, monte_carlo=2, test_scale=200),
+        ).validate()
+        base = training.train_base(cfg)
+        rows = ev.monte_carlo_eval(base).rows
+        assert rows and all(np.isnan(r.ber) for r in rows)
+        for row in rows:
+            again = ev.rerun_row(base, row)
+            assert all(a == b or a != a and b != b
+                       for a, b in zip(astuple(again), astuple(row)))
+
 
 class TestReportFormats:
     def test_csv_header_and_rows(self, quick_base, tmp_path):
@@ -263,6 +284,12 @@ class TestCli:
         bad.write_text("{not json")
         assert cli.main(["train-base", "--config", str(bad)]) == 2
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"label": "\xff"}')
+        assert cli.main(["train-base", "--config", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_gradcheck_mini_passes(self, capsys):
         code = cli.main(["gradcheck", "--config", "mini"])
         out = capsys.readouterr().out
@@ -336,6 +363,48 @@ class TestCli:
         assert cli.main([]) == 2
 
 
+VALID_DOC = miniature_config().to_dict()
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+DOC_PATHS = list(_paths(VALID_DOC))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["7", "-2", "0.5", "nan", "1e400", "true"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid config document with one value replaced, one key or list
+    entry deleted, or one key added."""
+    doc = copy.deepcopy(VALID_DOC)
+    kind = draw(st.sampled_from(["replace", "delete", "add"]))
+    if kind == "add":
+        path = draw(st.sampled_from([p for p in DOC_PATHS
+                                     if isinstance(reduce(getitem, p, doc), dict)]))
+        reduce(getitem, path, doc)[draw(st.text())] = draw(JSON_VALUES)
+        return doc
+    path = draw(st.sampled_from(DOC_PATHS[1:]))
+    parent = reduce(getitem, path[:-1], doc)
+    if kind == "replace":
+        parent[path[-1]] = draw(JSON_VALUES)
+    else:
+        del parent[path[-1]]
+    return doc
+
+
 class TestConfigFile:
     def test_roundtrip(self, quick_config, tmp_path):
         path = tmp_path / "cfg.json"
@@ -386,6 +455,68 @@ class TestConfigFile:
         assert tc.finetune_lr == 0.5
         doc["training"]["finetune_epochs"] = None
         assert config_from_dict(doc).training.finetune_epochs is None
+
+    def test_preset_digests_are_pinned(self):
+        # the checkpoint header stores the digest; changing the document
+        # layout or a preset orphans every saved checkpoint
+        assert reference_config().digest() == \
+            "cdb5eff09e29bcd7a93606ab5904e0cc1dcdded0a7dcccfcd411d8bb0fa0ad54"
+        assert miniature_config().digest() == \
+            "4f47f9d100237509a9d5dfce34efdf4340b73fc44d1cb8a5fa8489df1620d469"
+
+    @pytest.mark.parametrize("path, value", [
+        (("sim", "unit_spacing_m"), "x"),
+        (("training",), 5),
+        (("training", "trainable_power"), "false"),
+        (("system", "bits"), "44"),
+        (("sim", "terminals", 0, "tx_antennas"), "22"),
+        (("training", "power_range_dbm"), [20, 25, 30]),
+        (("training", "epochs"), 2.7),
+        (("training", "epochs"), True),
+        (("training", "learning_rate"), float("nan")),
+        (("channel", "noise_dbm"), 10 ** 400),
+        (("training", "lr_decay_interval"), 0),
+        (("training", "epoch"), 3),
+        (("sim", "terminals", 1, "units"), [4, 4]),
+        (("extra",), {}),
+    ], ids=["spacing-str", "section-int", "bool-str", "bits-str", "grid-str",
+            "range-3", "epochs-float", "epochs-bool", "lr-nan", "float-overflow",
+            "zero-decay-interval", "misspelt-key", "terminal-unknown-key",
+            "unknown-section"])
+    def test_malformed_value_is_config_error(self, path, value):
+        doc = miniature_config().to_dict()
+        reduce(getitem, path[:-1], doc)[path[-1]] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("path", [
+        ("system", "frequency_hz"), ("sim", "terminals"), ("sim",),
+        ("sim", "terminals", 0, "rx_layers")])
+    def test_field_without_default_is_required(self, path):
+        doc = miniature_config().to_dict()
+        del reduce(getitem, path[:-1], doc)[path[-1]]
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        doc = miniature_config().to_dict()
+        for key in ("label", "distance_m", "bits", "light_speed"):
+            del doc["system"][key]
+        del doc["channel"]
+        cfg = config_from_dict(doc)
+        assert cfg.label == "default" and cfg.n_bits == (12, 8)
+        assert cfg.channel == ChannelConfig()
+        assert cfg.geometry == miniature_config().geometry
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(mutated_documents())
+    def test_mutated_document_loads_or_is_config_error(self, doc):
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again.digest() == cfg.digest()
 
     def test_derived_seed_is_stable(self):
         assert ev.derive_seed(1234, 0) == ev.derive_seed(1234, 0)

@@ -251,13 +251,6 @@ class TestPropagationOperators:
 
 
 class TestGeometryConfig:
-    def test_wavelength_consistency_enforced(self):
-        terminals = mini_geometry().terminals
-        bad = wf.GeometryConfig(frequency=F, terminals=terminals,
-                                wavelength_override=0.012)
-        with pytest.raises(wf.GeometryError):
-            bad.validate()
-
     def test_default_spacings_are_half_wavelength(self):
         geom = mini_geometry()
         assert geom.spacing == pytest.approx(LAM / 2)
