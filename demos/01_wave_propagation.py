@@ -13,14 +13,15 @@ from simfd.config import miniature_config
 
 cfg = miniature_config()
 geom = cfg.geometry
+term = geom.terminal(1)
 lam = geom.wavelength
 
 print(f"carrier {geom.frequency / 1e9:.0f} GHz, wavelength {lam * 1e3:.2f} mm, "
       f"unit spacing {geom.spacing * 1e3:.2f} mm")
 
 # --- element grids -----------------------------------------------------------
-antennas = wf.tx_layer_positions(geom, 1, 0)
-layer1 = wf.tx_layer_positions(geom, 1, 1)
+antennas = wf.unit_positions(*term.tx_antenna_grid, geom.spacing)
+layer1 = wf.unit_positions(*term.tx_unit_grid, geom.spacing, 1, geom.layer_gap)
 print(f"\nTX antennas: {len(antennas)} elements at z = 0")
 print(f"TX layer 1:  {len(layer1)} units at z = {layer1[0, 2] * 1e3:.2f} mm")
 
@@ -40,8 +41,7 @@ for off in offsets:
 # the network's own stage functions compose each operator: started from the
 # identity on the antennas, the TX stage yields T^T and the RX stage R^T
 rng = np.random.default_rng(0)
-term = geom.terminal(1)
-factors = wf.build_tx_factors(geom, 1)
+factors = wf.stack_factors(geom, *term.tx_stack)
 antennas_eye = ag.Tensor(np.eye(term.tx_antennas, dtype=complex))
 thetas = [rng.uniform(0, 2 * np.pi, term.tx_units) for _ in range(term.tx_layers)]
 t_mat = emnn.tx_sim_forward(antennas_eye, factors, thetas).data.T
@@ -56,7 +56,9 @@ flat = emnn.tx_sim_forward(antennas_eye, factors, zeros).data.T
 print(f"zero-phase operator Frobenius norm  {np.linalg.norm(flat):.4f}")
 print(f"random-phase operator Frobenius norm {np.linalg.norm(t_mat):.4f}")
 
+# the RX stack has the same outward factors and runs them backwards: by
+# reciprocity the matrix from layer l back to layer l-1 is V_l^T
 units_eye = ag.Tensor(np.eye(term.rx_units, dtype=complex))
-r_mat = emnn.rx_sim_forward(units_eye, wf.build_rx_factors(geom, 1),
+r_mat = emnn.rx_sim_forward(units_eye, wf.stack_factors(geom, *term.rx_stack),
                             [np.zeros(term.rx_units) for _ in range(term.rx_layers)]).data.T
 print(f"\nRX operator shape {r_mat.shape} (antennas x units)")

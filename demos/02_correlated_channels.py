@@ -35,7 +35,7 @@ for name, dist, extra in (("cross link", chan.distance, 0.0),
 print(f"receiver noise: {chan.noise_dbm} dBm = {ch.dbm_to_watt(chan.noise_dbm):.1e} W")
 
 # --- one realization ----------------------------------------------------------
-real = ch.realize_channels(cfg, np.random.default_rng(0), "instantaneous", seed=0)
+real = ch.realize_channels(cfg, np.random.default_rng(0))
 for key in ch.LINK_ORDER:
     g = real.link(*key)
     print(f"G{key[0]}{key[1]}: shape {g.shape}, "
@@ -53,6 +53,6 @@ print(f"\ntwo instantaneous draws: SI link identical = {si_same}, "
       f"(configured coherence {cfg.channel.coherence})")
 
 # --- reference-scale shapes ----------------------------------------------------
-big = ch.realize_channels(reference_config(), np.random.default_rng(1), "statistical")
+big = ch.realize_channels(reference_config(), np.random.default_rng(1))
 print(f"\nreference configuration: G12 is {big.link(1, 2).shape} "
       f"(81 = 9x9 units per stack)")

@@ -63,29 +63,20 @@ class CorrelationMatrices:
 
 @dataclass
 class ChannelRealization:
-    """One draw of the four link matrices, with the gains that scaled them.
+    """One draw of the four link matrices, path loss and shadowing applied.
 
-    links[(p, q)] has shape N_q x M_p (receiver rows, transmitter columns);
-    gains[(p, q)] is the applied linear amplitude 10^(-PL/20).
+    links[(p, q)] has shape N_q x M_p (receiver rows, transmitter columns).
     """
 
     links: dict
-    gains: dict
-    seed: int
-    mode: str  # "statistical" | "instantaneous"
 
     def link(self, p, q):
         return self.links[(p, q)]
 
     def validate(self):
-        if self.mode not in ("statistical", "instantaneous"):
-            raise ChannelError(f"unknown mode {self.mode!r}")
         for key in LINK_ORDER:
-            g = self.links[key]
-            if not np.isfinite(g).all():
+            if not np.isfinite(self.links[key]).all():
                 raise ChannelError(f"non-finite entries in link {key}")
-            if self.gains[key] <= 0:
-                raise ChannelError(f"non-positive gain on link {key}")
 
 
 def dbm_to_watt(dbm):
@@ -100,15 +91,14 @@ def spatial_correlation(positions, wavelength):
     return np.sinc(2.0 * dist / wavelength)
 
 
-def psd_sqrt(matrix, symmetry_tol=1e-10, clip_tol=1e-12):
+def psd_sqrt(matrix):
     """Symmetric PSD square root with negative eigenvalues clipped to zero."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ChannelError("square matrix expected")
-    if np.abs(matrix - matrix.T).max() > symmetry_tol:
+    if np.abs(matrix - matrix.T).max() > 1e-10:
         raise ChannelError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(matrix)
-    vals = np.where(vals > clip_tol, vals, np.maximum(vals, 0.0))
     root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     return (root + root.T) / 2.0
 
@@ -131,18 +121,16 @@ def correlated_channel(rx_sqrt, iid, tx_sqrt):
     return rx_sqrt @ iid @ tx_sqrt
 
 
-def path_loss_db(params, wavelength, rng=None, shadow_db=None):
+def path_loss_db(params, wavelength, rng=None):
     """PL(D) = 20 log10(4 pi D0 / lambda) + 10 b log10(D / D0) + X.
 
-    X is the shadowing term: `shadow_db` if given, otherwise one N(0, std^2)
-    draw from `rng` when the configured std is positive, else 0.
+    X is the shadowing term: one N(0, std^2) draw from `rng` when the
+    configured std is positive, else 0.
     """
     params.validate()
-    if shadow_db is None:
-        if params.shadowing_db > 0 and rng is not None:
-            shadow_db = params.shadowing_db * rng.standard_normal()
-        else:
-            shadow_db = 0.0
+    shadow_db = 0.0
+    if params.shadowing_db > 0 and rng is not None:
+        shadow_db = params.shadowing_db * rng.standard_normal()
     pl0 = 20.0 * np.log10(4.0 * np.pi * params.reference_distance / wavelength)
     return pl0 + 10.0 * params.exponent * np.log10(
         params.distance / params.reference_distance) + shadow_db
@@ -160,17 +148,13 @@ def draw_noise(variance_linear, size, rng):
 
 @lru_cache(maxsize=16)
 def correlation_bundle(geom):
-    """Correlation matrices and PSD roots for both terminals (cached).
-
-    The TX side uses the TX stack's unit grid (the antenna grid when the
-    stack has no layers); the RX side mirrors that for the RX stack.
+    """Correlation matrices and PSD roots for both terminals (cached), on
+    each side's channel-facing grid (TerminalLayout.channel_grids).
     """
     out = {}
     lam = geom.wavelength
     for q in (1, 2):
-        term = geom.terminal(q)
-        tx_grid = term.tx_unit_grid if term.tx_layers > 0 else term.tx_antenna_grid
-        rx_grid = term.rx_unit_grid if term.rx_layers > 0 else term.rx_antenna_grid
+        tx_grid, rx_grid = geom.terminal(q).channel_grids
         tx_pos = wavefield.unit_positions(tx_grid[0], tx_grid[1], geom.spacing)
         rx_pos = wavefield.unit_positions(rx_grid[0], rx_grid[1], geom.spacing)
         r_tx = spatial_correlation(tx_pos, lam)
@@ -179,7 +163,7 @@ def correlation_bundle(geom):
     return out
 
 
-def realize_channels(config, rng, mode, seed=-1):
+def realize_channels(config, rng):
     """Draw all four link matrices of a SystemConfig.
 
     Cross links (1,2) and (2,1) use the terminal separation distance and the
@@ -191,7 +175,7 @@ def realize_channels(config, rng, mode, seed=-1):
     geom = config.geometry
     chan = config.channel
     corr = correlation_bundle(geom)
-    links, gains = {}, {}
+    links = {}
     for p, q in LINK_ORDER:
         cross = p != q
         # SI links closer than the reference distance fall back to free-space
@@ -211,8 +195,7 @@ def realize_channels(config, rng, mode, seed=-1):
         rx_side = corr[q].rx_sqrt
         iid = draw_iid_rayleigh(rx_side.shape[0], tx_side.shape[0], rng)
         links[(p, q)] = gain * correlated_channel(rx_side, iid, tx_side)
-        gains[(p, q)] = gain
-    out = ChannelRealization(links, gains, seed, mode)
+    out = ChannelRealization(links)
     out.validate()
     return out
 
@@ -228,13 +211,12 @@ def mix_realizations(nominal, fresh, coherence, si_coherence):
     for rho in (coherence, si_coherence):
         if not 0.0 <= rho <= 1.0:
             raise ChannelError("coherence must lie in [0, 1]")
-    links, gains = {}, {}
+    links = {}
     for key in LINK_ORDER:
         rho = si_coherence if key[0] == key[1] else coherence
         links[key] = np.sqrt(rho) * nominal.links[key] \
             + np.sqrt(1.0 - rho) * fresh.links[key]
-        gains[key] = fresh.gains[key] if rho < 1.0 else nominal.gains[key]
-    out = ChannelRealization(links, gains, fresh.seed, fresh.mode)
+    out = ChannelRealization(links)
     out.validate()
     return out
 
@@ -249,15 +231,11 @@ class ChannelSource:
     freeze one innovation per index (fine-tuning and evaluation).
     """
 
-    def __init__(self, config, master_seed=None):
+    def __init__(self, config):
         config.validate()
         self.config = config
-        self.master_seed = config.training.seed if master_seed is None \
-            else master_seed
-        nominal_seed = derive_seed(self.master_seed, NOMINAL_TAG)
-        self.nominal = realize_channels(
-            config, np.random.default_rng(nominal_seed), "statistical",
-            seed=nominal_seed)
+        self.nominal = realize_channels(config, np.random.default_rng(
+            derive_seed(config.training.seed, NOMINAL_TAG)))
 
     def _mix(self, fresh):
         chan = self.config.channel
@@ -266,11 +244,8 @@ class ChannelSource:
 
     def statistical(self, rng):
         """Fresh innovation around the persistent component (redraw per batch)."""
-        return self._mix(realize_channels(self.config, rng, "statistical",
-                                          seed=self.master_seed))
+        return self._mix(realize_channels(self.config, rng))
 
     def instantaneous(self, seed):
         """One frozen realization reproducible from its innovation seed."""
-        rng = np.random.default_rng(seed)
-        return self._mix(realize_channels(self.config, rng, "instantaneous",
-                                          seed=seed))
+        return self._mix(realize_channels(self.config, np.random.default_rng(seed)))

@@ -6,6 +6,7 @@ single machine-parsable line on stderr.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,8 @@ from . import emnn
 from . import evaluation as ev
 from . import training
 from . import wavefield as wf
-from .channel import ChannelSource, correlation_bundle, realize_channels
+from .channel import (LINK_ORDER, ChannelSource, correlation_bundle, dbm_to_watt,
+                      draw_noise, realize_channels)
 from .config import PRESETS, ConfigError, load_config
 
 
@@ -45,20 +47,16 @@ def full_grad_check(config, seed=0, batch=8, h=1e-6, power_dbm=10.0):
         model = emnn.Emnn(config, rng=rng)
         for p in model.params.trainables():
             p.data += rng.uniform(-0.05, 0.05, p.data.shape)
-        realization = realize_channels(config, rng, "instantaneous", seed=seed)
+        realization = realize_channels(config, rng)
         bits = rng.integers(0, 2, (batch, config.total_bits)).astype(float)
         powers = np.full(batch, power_dbm)
-        noise_var = 10.0 ** ((config.channel.noise_dbm - 30.0) / 10.0)
-        frozen_noise = []
-        for q in (1, 2):
-            n = model.arch.rx_antennas[q - 1]
-            std = np.sqrt(noise_var / 2.0)
-            frozen_noise.append(std * (rng.standard_normal((batch, n))
-                                       + 1j * rng.standard_normal((batch, n))))
+        noise_var = dbm_to_watt(config.channel.noise_dbm)
+        frozen_noise = [draw_noise(noise_var, (batch, n), rng)
+                        for n in model.arch.rx_antennas]
 
         def builder():
             soft = model.forward(bits, powers, realization, training=True,
-                                 noise=True, noise_override=frozen_noise)
+                                 noise_override=frozen_noise)
             return training.bce_loss(bits, soft)
 
         if not _point_is_smooth(builder(), kink_margin=1e-4, power_floor=1e-6):
@@ -166,16 +164,23 @@ def cmd_evaluate(args):
 
 
 def _parse_grid(kind, text):
+    """Grid points of a sweep. A power sweep takes its powers from the
+    config and no grid; the other kinds need a non-empty, well-formed one."""
     items = [s.strip() for s in text.split(",") if s.strip()]
-    if kind == "layers":
-        return [int(s) for s in items]
-    if kind == "units":
-        return [tuple(int(v) for v in s.split("x")) for s in items]
-    if kind == "bits":
-        return [tuple(int(v) for v in s.split("+")) for s in items]
     if kind == "power":
-        return items or [None]
-    raise ConfigError(f"unknown sweep kind {kind!r}")
+        if items:
+            raise ConfigError("a power sweep takes no --grid; its powers "
+                              "come from the config")
+        return [None]
+    if not items:
+        raise ConfigError(f"a {kind} sweep needs a non-empty --grid")
+    try:
+        if kind == "layers":
+            return [int(s) for s in items]
+        sep = "x" if kind == "units" else "+"
+        return [tuple(int(v) for v in s.split(sep)) for s in items]
+    except ValueError as exc:
+        raise ConfigError(f"malformed --grid {text!r}: {exc}") from exc
 
 
 def cmd_sweep(args):
@@ -215,11 +220,11 @@ def cmd_physics_dump(args):
             theta = [np.zeros(term.tx_units) for _ in range(term.tx_layers)]
             xi = [np.zeros(term.rx_units) for _ in range(term.rx_layers)]
         # the forward's stage functions, started from identities, give T^T, R^T
-        rx_width = term.rx_units if term.rx_layers else term.rx_antennas
+        rx_width = math.prod(term.channel_grids[1])
         t_op = emnn.tx_sim_forward(ag.Tensor(np.eye(term.tx_antennas, dtype=complex)),
-                                   wf.build_tx_factors(geom, q), theta)
+                                   wf.stack_factors(geom, *term.tx_stack), theta)
         r_op = emnn.rx_sim_forward(ag.Tensor(np.eye(rx_width, dtype=complex)),
-                                   wf.build_rx_factors(geom, q), xi)
+                                   wf.stack_factors(geom, *term.rx_stack), xi)
         matrix_to_csv(out / f"t{q}_tx_operator.csv", t_op.data.T)
         matrix_to_csv(out / f"t{q}_rx_operator.csv", r_op.data.T)
     for q, corr in correlation_bundle(geom).items():
@@ -227,7 +232,7 @@ def cmd_physics_dump(args):
         matrix_to_csv(out / f"t{q}_corr_rx.csv", corr.rx)
     if args.realization_seed is not None:
         realization = ChannelSource(config).instantaneous(args.realization_seed)
-        for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for p, q in LINK_ORDER:
             matrix_to_csv(out / f"g{p}{q}.csv", realization.link(p, q))
     print(f"physics-dump wrote operator and correlation matrices to {out}")
     return 0

@@ -89,6 +89,12 @@ class TrainConfig:
             raise ConfigError("power range is inverted")
         if self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if self.finetune_epoch_count < 0:
+            raise ConfigError("finetune epochs must be >= 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight decay must be >= 0")
+        if self.power_alpha <= 0 or self.power_beta <= 0:
+            raise ConfigError("power Beta parameters must be positive")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ joint complex batch (x1, x2) then meets H_q^T in one matmul, so the stack
 cost does not grow with the batch.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ class EmnnArchitecture:
     rx_units: tuple
     tx_layers: tuple
     rx_layers: tuple
+    tx_channel: tuple    # channel-facing element counts per terminal
+    rx_channel: tuple
 
     def other(self, q):
         return 2 if q == 1 else 1
@@ -63,9 +66,7 @@ class EmnnArchitecture:
 
     def channel_width(self, q):
         """Paired width of the field arriving at terminal q's receive side."""
-        if self.rx_layers[q - 1] > 0:
-            return 2 * self.rx_units[q - 1]
-        return 2 * self.rx_antennas[q - 1]
+        return 2 * self.rx_channel[q - 1]
 
     def rx_input(self, q):
         return 2 * self.rx_antennas[q - 1]
@@ -113,6 +114,8 @@ def build(config):
         rx_units=(t1.rx_units, t2.rx_units),
         tx_layers=(t1.tx_layers, t2.tx_layers),
         rx_layers=(t1.rx_layers, t2.rx_layers),
+        tx_channel=tuple(math.prod(t.channel_grids[0]) for t in geom.terminals),
+        rx_channel=tuple(math.prod(t.channel_grids[1]) for t in geom.terminals),
     )
     for q in (1, 2):
         for module, layer, width in arch.layer_table(q):
@@ -290,7 +293,7 @@ def allocate_power(power_dbm, arch, params):
     return ag.slice_axis(full, 1, 0, a1), ag.slice_axis(full, 1, a1, a2)
 
 
-def power_control(raw, per_antenna_power, eps=POWER_EPS):
+def power_control(raw, per_antenna_power):
     """Fixed block enforcing the transmit power budget.
 
     Each complex antenna stream is normalized to unit mean power over the
@@ -304,10 +307,10 @@ def power_control(raw, per_antenna_power, eps=POWER_EPS):
     stream_power = ag.scale(ag.reduce_sum(
         ag.add(ag.hadamard(re, re), ag.hadamard(im, im)),
         axis=0, keepdims=True), 1.0 / batch)
-    if np.any(stream_power.data < eps):
+    if np.any(stream_power.data < POWER_EPS):
         warnings.warn("all-zero antenna stream in power control",
                       RuntimeWarning, stacklevel=2)
-    inv_norm = ag.pow_scalar(ag.add(ag.pow_scalar(stream_power, 0.5), eps), -1.0)
+    inv_norm = ag.pow_scalar(ag.add(ag.pow_scalar(stream_power, 0.5), POWER_EPS), -1.0)
     amp = ag.pow_scalar(per_antenna_power, 0.5)
     per_stream = ag.hadamard(amp, inv_norm)
     return ag.hadamard(raw, ag.concat([per_stream, per_stream], axis=1))
@@ -326,10 +329,14 @@ def tx_sim_forward(x, factors, thetas):
 
 def rx_sim_forward(y, factors, xis):
     """RX stack on complex rows: phase layer K first, transmission toward
-    the antennas, y Psi_K U_K^T ... Psi_1 U_1^T = y R^T with
-    R = U_1 Psi_1 ... U_K Psi_K."""
-    for u, xi in zip(reversed(factors), reversed(xis)):
-        y = ag.matmul(ag.phase_shift(y, xi), u.T)
+    the antennas, y Psi_K V_K ... Psi_1 V_1 = y R^T with
+    R = V_1^T Psi_1 ... V_K^T Psi_K.
+
+    `factors` are the stack's outward factors V_k (wavefield.stack_factors);
+    by reciprocity V_k^T carries layer k back to layer k-1.
+    """
+    for v, xi in zip(reversed(factors), reversed(xis)):
+        y = ag.matmul(ag.phase_shift(y, xi), v)
     return y
 
 
@@ -373,8 +380,8 @@ class Emnn:
         self.config = config
         self.arch = build(config)
         geom = config.geometry
-        self.tx_factors = [wf.build_tx_factors(geom, q) for q in (1, 2)]
-        self.rx_factors = [wf.build_rx_factors(geom, q) for q in (1, 2)]
+        self.tx_factors = [wf.stack_factors(geom, *t.tx_stack) for t in geom.terminals]
+        self.rx_factors = [wf.stack_factors(geom, *t.rx_stack) for t in geom.terminals]
         if params is None:
             if rng is None:
                 raise ArchitectureError("either params or an rng is required")
@@ -385,23 +392,16 @@ class Emnn:
         noise_var = ch.dbm_to_watt(config.channel.noise_dbm)
         self.rx_scale = 1.0 / np.sqrt(noise_var) if noise_var > 0 else 1.0
 
-    def expected_link_shape(self, p, q):
-        rows = self.arch.rx_units[q - 1] if self.arch.rx_layers[q - 1] > 0 \
-            else self.arch.rx_antennas[q - 1]
-        cols = self.arch.tx_units[p - 1] if self.arch.tx_layers[p - 1] > 0 \
-            else self.arch.tx_antennas[p - 1]
-        return (rows, cols)
-
     def check_realization(self, realization):
         for p, q in ch.LINK_ORDER:
-            expect = self.expected_link_shape(p, q)
+            expect = (self.arch.rx_channel[q - 1], self.arch.tx_channel[p - 1])
             got = realization.link(p, q).shape
             if got != expect:
                 raise ArchitectureError(
                     f"link ({p},{q}) shape {got} does not match model {expect}")
 
     def forward(self, bits, power_dbm, realization, rng=None, training=True,
-                noise=True, noise_override=None):
+                noise_override=None):
         """Soft estimates of the full bit block, aligned with [b1 | b2].
 
         The TX-DNNs and power control act on the batch. tx stack ->
@@ -413,7 +413,7 @@ class Emnn:
 
         `noise_override` takes pre-drawn complex noise (one array per
         terminal) so a caller can freeze the whole forward for gradient
-        checks; otherwise receiver noise is drawn from `rng` when enabled.
+        checks; otherwise receiver noise is drawn from `rng`.
         """
         self.check_realization(realization)
         bits = np.asarray(bits, dtype=float)
@@ -437,14 +437,14 @@ class Emnn:
             h_q = rx_sim_forward(f_q, self.rx_factors[q - 1], tp.xi)
             r_q = ag.to_pair(ag.matmul(joint, h_q))
             if noise_override is not None:
-                r_q = ag.add(r_q, wf.complex_to_pair(noise_override[q - 1]))
-            elif noise:
-                if rng is None:
-                    raise ArchitectureError("noise requested but no rng given")
+                n_q = noise_override[q - 1]
+            elif rng is None:
+                raise ArchitectureError("no rng for the receiver noise")
+            else:
                 n_q = ch.draw_noise(ch.dbm_to_watt(self.config.channel.noise_dbm),
                                     (bits.shape[0], self.arch.rx_antennas[q - 1]),
                                     rng)
-                r_q = ag.add(r_q, wf.complex_to_pair(n_q))
+            r_q = ag.add(r_q, wf.complex_to_pair(n_q))
             received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale), tp,
                                            training))
         # terminal 2 outputs the estimate of stream 1 and vice versa

@@ -122,7 +122,7 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
         bits = rng.integers(0, 2, (n, total_bits)).astype(float)
         with ag.no_grad():
             soft = model.forward(bits, np.full(n, float(power_dbm)), realization,
-                                 rng=rng, training=False, noise=True)
+                                 rng=rng, training=False)
         decided = emnn.hard_decision(soft)
         e, t, _ = ber(bits, decided)
         errors += e
@@ -146,7 +146,7 @@ def _eval_one_realization(base, source, seed, index, powers, test_scale, label):
     return rows
 
 
-def monte_carlo_eval(base, config=None, master_seed=None, label=None):
+def monte_carlo_eval(base, config=None, master_seed=None):
     """Fine-tune and sweep the power grid over independent realizations.
 
     Each realization gets a derived seed covering its channel innovation,
@@ -158,13 +158,12 @@ def monte_carlo_eval(base, config=None, master_seed=None, label=None):
     config = base.config if config is None else config
     ev = config.evaluation
     master_seed = ev.seed if master_seed is None else master_seed
-    label = config.label if label is None else label
     source = ChannelSource(config)
     report = BerReport()
     for index in range(ev.monte_carlo):
         report.extend(_eval_one_realization(
             base, source, derive_seed(master_seed, index), index,
-            ev.power_sweep_dbm, ev.test_scale, label))
+            ev.power_sweep_dbm, ev.test_scale, config.label))
     report.rows = report.sorted_rows()
     return report
 

@@ -302,7 +302,7 @@ def _fit(model, opt, rng, epochs, lr_at, realization_at):
         realization = realization_at()
         block = sample_batch(rng, model.config)
         soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
-                             training=True, noise=True)
+                             training=True)
         loss = bce_loss(block.bits, soft)
         value = float(loss.data)
         if not np.isfinite(value):
@@ -357,7 +357,7 @@ def train_base(config, seed=None, epochs=None):
     return best
 
 
-def finetune(base, realization, rng, epochs=None, lr=None):
+def finetune(base, realization, rng, epochs=None):
     """Continue training from a base checkpoint on one frozen realization.
 
     All parameters stay trainable and batchnorm running statistics keep
@@ -367,7 +367,6 @@ def finetune(base, realization, rng, epochs=None, lr=None):
     config = base.config
     tc = config.training
     epochs = tc.finetune_epoch_count if epochs is None else epochs
-    lr = tc.finetune_learning_rate if lr is None else lr
     model = emnn.Emnn(config, params=base.params.copy())
     try:
         model.check_realization(realization)
@@ -375,7 +374,8 @@ def finetune(base, realization, rng, epochs=None, lr=None):
         raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
     opt = AdamW(model.params.trainables(), weight_decay=tc.weight_decay)
     opt.load_state(base.opt_m, base.opt_v, base.opt_step)
-    return _fit(model, opt, rng, epochs, lambda epoch: lr, lambda: realization)
+    return _fit(model, opt, rng, epochs, lambda epoch: tc.finetune_learning_rate,
+                lambda: realization)
 
 
 def smoothed(series, window=50):

@@ -45,6 +45,22 @@ class TerminalLayout:
     def rx_units(self):
         return self.rx_unit_grid[0] * self.rx_unit_grid[1]
 
+    @property
+    def tx_stack(self):
+        """(antenna grid, unit grid, layer count) of the TX stack."""
+        return self.tx_antenna_grid, self.tx_unit_grid, self.tx_layers
+
+    @property
+    def rx_stack(self):
+        return self.rx_antenna_grid, self.rx_unit_grid, self.rx_layers
+
+    @property
+    def channel_grids(self):
+        """(TX, RX) grids facing the channel: each stack's unit grid, or its
+        antenna grid when the stack has no layers."""
+        return tuple(units if layers > 0 else antennas
+                     for antennas, units, layers in (self.tx_stack, self.rx_stack))
+
     def validate(self):
         for grid in (self.tx_antenna_grid, self.rx_antenna_grid,
                      self.tx_unit_grid, self.rx_unit_grid):
@@ -87,8 +103,8 @@ class GeometryConfig:
         return self.terminals[q - 1]
 
     def validate(self):
-        if self.frequency <= 0:
-            raise GeometryError("frequency must be positive")
+        if self.frequency <= 0 or self.light_speed <= 0:
+            raise GeometryError("frequency and light speed must be positive")
         if self.spacing <= 0 or self.layer_gap <= 0:
             raise GeometryError("spacings must be positive")
         if len(self.terminals) != 2:
@@ -163,45 +179,20 @@ def wrap_phase(phases):
 # builders from a GeometryConfig
 # ---------------------------------------------------------------------------
 
-def tx_layer_positions(geom, q, layer):
-    """Positions of TX layer `layer` at terminal q (layer 0 = antenna array)."""
-    term = geom.terminal(q)
-    grid = term.tx_antenna_grid if layer == 0 else term.tx_unit_grid
-    return unit_positions(grid[0], grid[1], geom.spacing, layer, geom.layer_gap)
+def stack_factors(geom, antenna_grid, unit_grid, layers):
+    """Outward transmission matrices [V_1 .. V_L] of one stack.
 
-
-def rx_layer_positions(geom, q, layer):
-    """Positions of RX layer `layer` at terminal q (layer 0 = antenna array)."""
-    term = geom.terminal(q)
-    grid = term.rx_antenna_grid if layer == 0 else term.rx_unit_grid
-    return unit_positions(grid[0], grid[1], geom.spacing, layer, geom.layer_gap)
-
-
-def build_tx_factors(geom, q):
-    """Fixed TX transmission matrices [V_1 .. V_L] for terminal q."""
-    term = geom.terminal(q)
-    factors = []
-    for layer in range(1, term.tx_layers + 1):
-        prev = tx_layer_positions(geom, q, layer - 1)
-        nxt = tx_layer_positions(geom, q, layer)
-        factors.append(transmission_matrix(prev, nxt, geom.frequency,
-                                           geom.unit_area, geom.light_speed))
-    return factors
-
-
-def build_rx_factors(geom, q):
-    """Fixed RX transmission matrices [U_1 .. U_K] for terminal q.
-
-    U_k maps layer k to layer k-1, so U_1 lands on the antenna array.
+    V_l maps layer l-1 to layer l; layer 0 is the antenna grid, layers 1..L
+    the unit grid. A receive stack uses the same factors: the coefficient
+    depends only on r and |dz|, so the inward matrix of a layer pair is
+    exactly V_l^T.
     """
-    term = geom.terminal(q)
-    factors = []
-    for layer in range(1, term.rx_layers + 1):
-        src = rx_layer_positions(geom, q, layer)
-        dst = rx_layer_positions(geom, q, layer - 1)
-        factors.append(transmission_matrix(src, dst, geom.frequency,
-                                           geom.unit_area, geom.light_speed))
-    return factors
+    grids = [antenna_grid] + [unit_grid] * layers
+    planes = [unit_positions(g[0], g[1], geom.spacing, layer, geom.layer_gap)
+              for layer, g in enumerate(grids)]
+    return [transmission_matrix(prev, nxt, geom.frequency, geom.unit_area,
+                                geom.light_speed)
+            for prev, nxt in zip(planes, planes[1:])]
 
 
 def complex_to_pair(matrix):

@@ -124,7 +124,8 @@ def batch_first_forward(model, bits, power_dbm, realization, training, noise):
     received = []
     for q, f_q in zip((1, 2), fields):
         tp = model.params.terminal(q)
-        rx_pairs = [planes(m) for m in model.rx_factors[q - 1]]
+        # the model holds the outward factors; the RX stage maps inward
+        rx_pairs = [planes(m.T) for m in model.rx_factors[q - 1]]
         r_q = rx_sim_forward(f_q, rx_pairs, tp.xi)
         r_q = ag.add(r_q, complex_to_pair_batch(noise[q - 1]))
         received.append(emnn.rx_dnn_forward(ag.scale(r_q, model.rx_scale), tp,

@@ -55,19 +55,12 @@ def protocol_arm(kind):
     rows = {p: [] for p in config.evaluation.power_sweep_dbm}
     for seed in ARM_SEEDS:
         cfg = replace(config,
-                      training=replace(config.training, seed=seed)).validate()
-        base = training.train_base(cfg)
-        source = ch.ChannelSource(cfg)
-        for index in range(ARM_REALIZATIONS):
-            rseed = ev.derive_seed(cfg.evaluation.seed, index)
-            realization = source.instantaneous(rseed)
-            rng = np.random.default_rng(rseed)
-            tuned = training.finetune(base, realization, rng)
-            model = emnn.Emnn(cfg, params=tuned.params)
-            for power in rows:
-                _, _, ratio = ev.evaluate(model, realization, power,
-                                          ARM_SYMBOLS, rng)
-                rows[power].append(ratio)
+                      training=replace(config.training, seed=seed),
+                      evaluation=replace(config.evaluation,
+                                         monte_carlo=ARM_REALIZATIONS,
+                                         test_scale=ARM_SYMBOLS)).validate()
+        for row in ev.monte_carlo_eval(training.train_base(cfg)).rows:
+            rows[row.power_dbm].append(row.ber)
     return {p: float(np.median(v)) for p, v in rows.items()}
 
 
@@ -87,15 +80,22 @@ def coefficient_matrix(src, dst, geom):
                      for d in dst])
 
 
+def stack_planes(geom, antenna_grid, unit_grid, layers):
+    """Unit centers of layers 0 (the antennas) .. `layers` of one stack."""
+    grids = [antenna_grid] + [unit_grid] * layers
+    return [wf.unit_positions(g[0], g[1], geom.spacing, l, geom.layer_gap)
+            for l, g in enumerate(grids)]
+
+
 def test_physics_network_consistency(mini):
     geom = mini.geometry
     model = emnn.Emnn(mini, rng=np.random.default_rng(0))
-    tx = {q: [coefficient_matrix(wf.tx_layer_positions(geom, q, l - 1),
-                                 wf.tx_layer_positions(geom, q, l), geom)
-              for l in (1, 2)] for q in (1, 2)}
-    rx = {q: [coefficient_matrix(wf.rx_layer_positions(geom, q, l),
-                                 wf.rx_layer_positions(geom, q, l - 1), geom)
-              for l in (1, 2)] for q in (1, 2)}
+    tx, rx = {}, {}
+    for q, t in enumerate(geom.terminals, 1):
+        planes = stack_planes(geom, *t.tx_stack)
+        tx[q] = [coefficient_matrix(planes[l - 1], planes[l], geom) for l in (1, 2)]
+        planes = stack_planes(geom, *t.rx_stack)
+        rx[q] = [coefficient_matrix(planes[l], planes[l - 1], geom) for l in (1, 2)]
     rng = np.random.default_rng(1)
     worst = 0.0
 
@@ -198,7 +198,7 @@ def test_loss_sanity(mini):
     realization = source.instantaneous(11)
     block = training.sample_batch(rng, mini)
     soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
-                         training=True, noise=True)
+                         training=True)
     loss = float(training.bce_loss(block.bits, soft).data)
     _, _, ber_untrained = ev.evaluate(model, realization, 30.0, 10000,
                                       np.random.default_rng(5))

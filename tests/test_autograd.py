@@ -133,7 +133,7 @@ def test_no_grad_scope_records_nothing():
 def _mini_forward(model, realization, rng):
     bits = rng.integers(0, 2, (16, model.config.total_bits)).astype(float)
     return model.forward(bits, np.full(16, 25.0), realization, rng=rng,
-                         training=False, noise=True)
+                         training=False)
 
 
 def test_no_grad_forward_has_no_parents():

@@ -172,7 +172,7 @@ class TestRealizeChannels:
     def test_reference_config_link_shapes(self):
         cfg = reference_config()
         rng = np.random.default_rng(0)
-        real = ch.realize_channels(cfg, rng, "statistical")
+        real = ch.realize_channels(cfg, rng)
         # 81 = 9x9 EM units on every stack
         assert real.link(1, 2).shape == (81, 81)
         assert real.link(2, 1).shape == (81, 81)
@@ -180,9 +180,9 @@ class TestRealizeChannels:
 
     def test_seed_determinism_and_divergence(self):
         cfg = miniature_config()
-        a = ch.realize_channels(cfg, np.random.default_rng(5), "statistical")
-        b = ch.realize_channels(cfg, np.random.default_rng(5), "statistical")
-        c = ch.realize_channels(cfg, np.random.default_rng(6), "statistical")
+        a = ch.realize_channels(cfg, np.random.default_rng(5))
+        b = ch.realize_channels(cfg, np.random.default_rng(5))
+        c = ch.realize_channels(cfg, np.random.default_rng(6))
         for key in ch.LINK_ORDER:
             assert np.array_equal(a.links[key], b.links[key])
         assert not np.array_equal(a.links[(1, 2)], c.links[(1, 2)])
@@ -202,13 +202,13 @@ class TestRealizeChannels:
             channel=ChannelConfig(distance=d0, reference_distance=d0,
                                   shadowing_db=0.0, si_distance=d0,
                                   si_isolation_db=0.0)).validate()
-        real = ch.realize_channels(cfg, np.random.default_rng(11), "statistical")
-        # replay the documented draw order with the same stream
+        real = ch.realize_channels(cfg, np.random.default_rng(11))
+        # replay the documented draw order with the same stream; a unit gain
+        # leaves each link equal to its i.i.d. draw
         rng = np.random.default_rng(11)
         for key in ch.LINK_ORDER:
             want = ch.draw_iid_rayleigh(2, 2, rng)
-            assert real.gains[key] == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(real.links[key], want, atol=1e-12)
+            assert np.allclose(real.links[key], want, rtol=1e-12, atol=1e-12)
 
     def test_si_links_use_isolation(self):
         from dataclasses import replace
@@ -217,10 +217,14 @@ class TestRealizeChannels:
                                            shadowing_db=0.0)).validate()
         flat = replace(cfg, channel=replace(cfg.channel, si_isolation_db=0.0,
                                             shadowing_db=0.0)).validate()
-        a = ch.realize_channels(iso, np.random.default_rng(3), "statistical")
-        b = ch.realize_channels(flat, np.random.default_rng(3), "statistical")
-        assert a.gains[(1, 1)] == pytest.approx(b.gains[(1, 1)] * 10 ** (-40 / 20))
-        assert a.gains[(1, 2)] == pytest.approx(b.gains[(1, 2)])
+        a = ch.realize_channels(iso, np.random.default_rng(3))
+        b = ch.realize_channels(flat, np.random.default_rng(3))
+        # same draws in the same order: only the SI links are scaled, by 40 dB
+        for key in ((1, 1), (2, 2)):
+            assert np.allclose(a.links[key], b.links[key] * 10 ** (-40 / 20),
+                               rtol=1e-12, atol=0)
+        for key in ((1, 2), (2, 1)):
+            assert np.array_equal(a.links[key], b.links[key])
 
 
 class TestChannelSource:
@@ -246,8 +250,7 @@ class TestChannelSource:
                                             si_coherence=0.0)).validate()
         src = ch.ChannelSource(cfg0)
         got = src.instantaneous(99)
-        want = ch.realize_channels(cfg0, np.random.default_rng(99),
-                                   "instantaneous", seed=99)
+        want = ch.realize_channels(cfg0, np.random.default_rng(99))
         for key in ch.LINK_ORDER:
             assert np.array_equal(got.links[key], want.links[key])
 

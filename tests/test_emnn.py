@@ -147,7 +147,7 @@ def complex_rows(rng, shape):
 
 class TestSimForward:
     def test_single_layer_zero_phase_is_first_factor(self, mini):
-        v1 = wf.build_tx_factors(mini.geometry, 1)[0]
+        v1 = wf.stack_factors(mini.geometry, *mini.geometry.terminal(1).tx_stack)[0]
         z = complex_rows(np.random.default_rng(8), (5, 4))
         out = emnn.tx_sim_forward(ag.Tensor(z), [v1], [ag.Tensor(np.zeros(16))])
         assert np.allclose(out.data, z @ v1.T, atol=1e-12)
@@ -170,9 +170,10 @@ class TestSimForward:
 
     def test_rx_layerwise_equals_dense_operator(self, mini_model):
         rng = np.random.default_rng(10)
-        u1, u2 = mini_model.rx_factors[0]
+        # the RX stage runs the outward factors backwards: R = V_1^T Psi_1 V_2^T Psi_2
+        v1, v2 = mini_model.rx_factors[0]
         xis = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
-        dense = u1 @ (np.exp(1j * xis[0])[:, None] * (u2 @ np.diag(np.exp(1j * xis[1]))))
+        dense = v1.T @ (np.exp(1j * xis[0])[:, None] * (v2.T @ np.diag(np.exp(1j * xis[1]))))
         z = complex_rows(rng, (6, 16))
         out = emnn.rx_sim_forward(ag.Tensor(z), mini_model.rx_factors[0],
                                   [ag.Tensor(t) for t in xis])
@@ -196,7 +197,7 @@ class TestChannelLayer:
         links = dict(mini_realization.links)
         links[(1, 1)] = np.zeros((16, 16), complex)
         links[(2, 2)] = np.zeros((16, 16), complex)
-        real = ch.ChannelRealization(links, mini_realization.gains, 0, "instantaneous")
+        real = ch.ChannelRealization(links)
         t1 = ag.Tensor(complex_rows(rng, (3, 16)))
         t2 = ag.Tensor(np.zeros((2, 16), complex))
         f1, f2 = emnn.channel_layer(t1, t2, real)
@@ -266,7 +267,7 @@ class TestForwardFull:
         rng = np.random.default_rng(18)
         bits = rng.integers(0, 2, (8, 8)).astype(float)
         soft = mini_model.forward(bits, np.full(8, 20.0), mini_realization,
-                                  rng=rng, training=True, noise=True)
+                                  rng=rng, training=True)
         assert soft.data.shape == (8, 8)
 
     def test_deterministic_given_state(self, mini, mini_realization):
@@ -275,7 +276,7 @@ class TestForwardFull:
             model = emnn.Emnn(mini, rng=rng)
             bits = rng.integers(0, 2, (8, 8)).astype(float)
             return model.forward(bits, np.full(8, 20.0), mini_realization,
-                                 rng=rng, training=True, noise=True).data
+                                 rng=rng, training=True).data
         assert np.array_equal(once(), once())
 
     def test_realization_shape_mismatch_raises(self, mini, mini_model):
@@ -300,8 +301,8 @@ class TestForwardFull:
         links = {(1, 1): np.zeros((16, 16), complex),
                  (2, 2): np.zeros((16, 16), complex),
                  (1, 2): eye.astype(complex), (2, 1): eye.astype(complex)}
-        gains = {k: 1e-3 for k in ch.LINK_ORDER}
-        real = ch.ChannelRealization(links, gains, 0, "instantaneous")
+        real = ch.ChannelRealization(links)
+        noiseless = [np.zeros((cfg.training.batch_size, 4), complex)] * 2
 
         best_model, best_loss = None, np.inf
         for seed in (20, 21, 22):
@@ -312,7 +313,7 @@ class TestForwardFull:
             for epoch in range(600):
                 block = training.sample_batch(rng, cfg)
                 soft = model.forward(block.bits, block.power_dbm, real,
-                                     rng=rng, training=True, noise=False)
+                                     training=True, noise_override=noiseless)
                 loss = training.bce_loss(block.bits, soft)
                 ag.backward(loss)
                 opt.step(0.01)
@@ -320,8 +321,8 @@ class TestForwardFull:
                 best_loss, best_model = float(loss.data), model
         rng = np.random.default_rng(99)
         bits = rng.integers(0, 2, (512, 4)).astype(float)
-        soft = best_model.forward(bits, np.full(512, 30.0), real, rng=rng,
-                                  training=False, noise=False)
+        soft = best_model.forward(bits, np.full(512, 30.0), real, training=False,
+                                  noise_override=[np.zeros((512, 4), complex)] * 2)
         assert np.array_equal(emnn.hard_decision(soft), bits.astype(np.int64))
 
 
@@ -397,7 +398,7 @@ class TestOperatorFirst:
         rng = np.random.default_rng(43)
         bits = rng.integers(0, 2, (batch, model.config.total_bits)).astype(float)
         soft = model.forward(bits, np.full(batch, 25.0), realization,
-                             rng=rng, training=True, noise=True)
+                             rng=rng, training=True)
         ag.backward(training.bce_loss(bits, soft))
         monkeypatch.undo()
         seen, shapes = set(), []

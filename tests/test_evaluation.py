@@ -106,7 +106,7 @@ class TestEvaluate:
         for n in (256, 244):
             bits = rng.integers(0, 2, (n, quick_config.total_bits)).astype(float)
             soft = model.forward(bits, np.full(n, 20.0), real, rng=rng,
-                                 training=False, noise=True)
+                                 training=False)
             assert soft.requires_grad  # a graph-recording forward
             e, t, _ = ev.ber(bits, emnn.hard_decision(soft))
             errors += e
@@ -359,6 +359,19 @@ class TestCli:
                          "--grid", "4+4,2+2", "--out", str(out)]) == 0
         assert (out / "sweep_bits.csv").exists()
 
+    @pytest.mark.parametrize("kind, grid", [
+        ("layers", "x"), ("units", "4x"), ("layers", ""), ("units", " , "),
+        ("bits", ""), ("power", "10,20")])
+    def test_bad_sweep_grid_is_usage_error(self, quick_config, tmp_path, capsys,
+                                           kind, grid):
+        cfg_path = tmp_path / "quick.json"
+        save_config(quick_config, cfg_path)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--kind", kind,
+                         "--grid", grid, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_usage(self):
         assert cli.main([]) == 2
 
@@ -455,6 +468,9 @@ class TestConfigFile:
         assert tc.finetune_lr == 0.5
         doc["training"]["finetune_epochs"] = None
         assert config_from_dict(doc).training.finetune_epochs is None
+        # zero fine-tuning epochs (evaluate the base model as is) stays valid
+        doc["training"]["finetune_epochs"] = 0
+        assert config_from_dict(doc).training.finetune_epochs == 0
 
     def test_preset_digests_are_pinned(self):
         # the checkpoint header stores the digest; changing the document
@@ -479,12 +495,21 @@ class TestConfigFile:
         (("training", "epoch"), 3),
         (("sim", "terminals", 1, "units"), [4, 4]),
         (("extra",), {}),
+        (("training", "finetune_epochs"), -5),
+        (("training", "weight_decay"), -1.0),
+        (("training", "power_alpha"), 0),
+        (("training", "power_beta"), -2),
+        (("system", "light_speed"), -3e8),
     ], ids=["spacing-str", "section-int", "bool-str", "bits-str", "grid-str",
             "range-3", "epochs-float", "epochs-bool", "lr-nan", "float-overflow",
             "zero-decay-interval", "misspelt-key", "terminal-unknown-key",
-            "unknown-section"])
+            "unknown-section", "negative-finetune-epochs", "negative-weight-decay",
+            "zero-power-alpha", "negative-power-beta", "negative-light-speed"])
     def test_malformed_value_is_config_error(self, path, value):
         doc = miniature_config().to_dict()
+        # explicit spacings: a bad light speed must fail on its own, not
+        # through the negative half-wavelength spacings it would derive
+        doc["sim"].update(unit_spacing_m=0.005, layer_spacing_m=0.005)
         reduce(getitem, path[:-1], doc)[path[-1]] = value
         with pytest.raises(ConfigError):
             config_from_dict(doc)

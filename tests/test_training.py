@@ -76,7 +76,8 @@ class TestXavierInit:
         arch = emnn.EmnnArchitecture(n_bits=(200, 1), tx_antennas=(250, 1),
                                      rx_antennas=(1, 1), tx_units=(1, 1),
                                      rx_units=(1, 1), tx_layers=(0, 0),
-                                     rx_layers=(0, 0))
+                                     rx_layers=(0, 0), tx_channel=(250, 1),
+                                     rx_channel=(1, 1))
         w = emnn.init_params(arch, np.random.default_rng(4)).terminal(1).tx_w[2]
         assert w.data.shape == (200, 500)
         want = 2.0 / (200 + 500)

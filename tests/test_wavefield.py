@@ -4,6 +4,7 @@ import pytest
 import simfd.autograd as ag
 import simfd.emnn as emnn
 import simfd.wavefield as wf
+from simfd.config import miniature_config, reference_config
 
 F = 28e9
 LAM = wf.C_LIGHT / F
@@ -165,34 +166,39 @@ def mini_geometry(l_layers=2, k_layers=2):
     return geom
 
 
+def tx_factors(geom, q):
+    return wf.stack_factors(geom, *geom.terminal(q).tx_stack)
+
+
+def rx_factors(geom, q):
+    return wf.stack_factors(geom, *geom.terminal(q).rx_stack)
+
+
 def tx_dense(geom, q, phases):
     """Dense T = Phi_L V_L ... Phi_1 V_1, composed by the forward's TX stage."""
     eye = ag.Tensor(np.eye(geom.terminal(q).tx_antennas, dtype=complex))
-    return emnn.tx_sim_forward(eye, wf.build_tx_factors(geom, q), phases).data.T
+    return emnn.tx_sim_forward(eye, tx_factors(geom, q), phases).data.T
 
 
 def rx_dense(geom, q, phases):
-    """Dense R = U_1 Psi_1 ... U_K Psi_K, composed by the forward's RX stage."""
-    term = geom.terminal(q)
-    eye = ag.Tensor(np.eye(term.rx_units if term.rx_layers else term.rx_antennas,
-                           dtype=complex))
-    return emnn.rx_sim_forward(eye, wf.build_rx_factors(geom, q), phases).data.T
+    """Dense R = V_1^T Psi_1 ... V_K^T Psi_K, composed by the forward's RX stage."""
+    rx_grid = geom.terminal(q).channel_grids[1]
+    eye = ag.Tensor(np.eye(rx_grid[0] * rx_grid[1], dtype=complex))
+    return emnn.rx_sim_forward(eye, rx_factors(geom, q), phases).data.T
 
 
 class TestPropagationOperators:
     def test_single_layer_zero_phases_is_first_factor(self):
         geom = mini_geometry(1, 1)
-        assert np.allclose(tx_dense(geom, 1, [np.zeros(16)]),
-                           wf.build_tx_factors(geom, 1)[0])
-        assert np.allclose(rx_dense(geom, 1, [np.zeros(16)]),
-                           wf.build_rx_factors(geom, 1)[0])
+        assert np.allclose(tx_dense(geom, 1, [np.zeros(16)]), tx_factors(geom, 1)[0])
+        assert np.allclose(rx_dense(geom, 1, [np.zeros(16)]), rx_factors(geom, 1)[0].T)
 
     def test_tx_chain_matches_dense_product(self):
         geom = mini_geometry(2, 2)
         rng = np.random.default_rng(3)
         phases = [rng.uniform(0, 2 * np.pi, 16) for _ in range(2)]
         got = tx_dense(geom, 1, phases)
-        v1, v2 = wf.build_tx_factors(geom, 1)
+        v1, v2 = tx_factors(geom, 1)
         want = np.diag(np.exp(1j * phases[1])) @ v2 @ np.diag(np.exp(1j * phases[0])) @ v1
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err < 1e-10
@@ -202,7 +208,7 @@ class TestPropagationOperators:
         rng = np.random.default_rng(4)
         phases = [rng.uniform(0, 2 * np.pi, 16) for _ in range(3)]
         got = rx_dense(geom, 2, phases)
-        u1, u2, u3 = wf.build_rx_factors(geom, 2)
+        u1, u2, u3 = (v.T for v in rx_factors(geom, 2))
         want = u1 @ np.diag(np.exp(1j * phases[0])) @ u2 \
             @ np.diag(np.exp(1j * phases[1])) @ u3 @ np.diag(np.exp(1j * phases[2]))
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -226,23 +232,49 @@ class TestPropagationOperators:
         top = np.linalg.svd(tx_dense(geom, 1, [rng.uniform(0, 2 * np.pi, 16)
                                                for _ in range(2)]), compute_uv=False)[0]
         bound = np.prod([np.linalg.svd(m, compute_uv=False)[0]
-                         for m in wf.build_tx_factors(geom, 1)])
+                         for m in tx_factors(geom, 1)])
         assert top <= bound * (1 + 1e-12)
 
     def test_deterministic_rebuild(self):
         geom = mini_geometry(2, 2)
-        a = wf.build_tx_factors(geom, 1)
-        b = wf.build_tx_factors(geom, 1)
+        a = tx_factors(geom, 1)
+        b = tx_factors(geom, 1)
         for m1, m2 in zip(a, b):
             assert np.array_equal(m1, m2)
 
     def test_wrong_side_rejected(self):
-        # TX factors map 4 antennas to 16 units; run from the RX side, the
-        # chain does not close
+        # the factors map 4 antennas to 16 units; a stage started from the
+        # wrong end of the stack does not close
         geom = mini_geometry(1, 1)
         with pytest.raises(ag.GraphError):
-            emnn.rx_sim_forward(np.eye(16, dtype=complex), wf.build_tx_factors(geom, 1),
+            emnn.rx_sim_forward(np.eye(4, dtype=complex), rx_factors(geom, 1),
                                 [np.zeros(16)])
+        with pytest.raises(ag.GraphError):
+            emnn.tx_sim_forward(np.eye(16, dtype=complex), tx_factors(geom, 1),
+                                [np.zeros(16)])
+
+    @pytest.mark.parametrize("preset", [miniature_config, reference_config])
+    def test_inward_factor_is_outward_transpose(self, preset):
+        # reciprocity, bit for bit: the matrix from layer l back to layer
+        # l-1, built from the positions, is the transpose of the outward V_l
+        geom = preset().geometry
+        for t in geom.terminals:
+            grids = [t.rx_antenna_grid] + [t.rx_unit_grid] * t.rx_layers
+            planes = [wf.unit_positions(g[0], g[1], geom.spacing, l, geom.layer_gap)
+                      for l, g in enumerate(grids)]
+            outward = wf.stack_factors(geom, *t.rx_stack)
+            assert len(outward) == t.rx_layers
+            for l, v in enumerate(outward, 1):
+                inward = wf.transmission_matrix(planes[l], planes[l - 1], geom.frequency,
+                                                geom.unit_area, geom.light_speed)
+                assert np.array_equal(inward, v.T)
+
+    def test_channel_grids(self):
+        # the unit grid faces the channel, the antenna grid when no layers
+        t = wf.TerminalLayout((2, 2), (3, 1), (4, 4), (5, 5), 0, 2)
+        assert t.channel_grids == ((2, 2), (5, 5))
+        t = wf.TerminalLayout((2, 2), (3, 1), (4, 4), (5, 5), 1, 0)
+        assert t.channel_grids == ((4, 4), (3, 1))
 
     def test_dimension_mismatch_rejected(self):
         geom = mini_geometry(2, 2)
