@@ -59,20 +59,18 @@ class Tensor:
     """One node of the computation graph: an ndarray value plus grad plumbing.
 
     Leaves are created directly (requires_grad=True for trainables); results
-    of ops carry closures that push gradients to their parents. `decay` marks
-    parameters eligible for weight decay (weight matrices only).
+    of ops carry closures that push gradients to their parents.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "decay", "name", "op",
+    __slots__ = ("data", "grad", "requires_grad", "name", "op",
                  "_parents", "_backward", "_tape", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, name=None, decay=False):
+    def __init__(self, data, requires_grad=False, name=None):
         data = np.asarray(data)
         self.data = data.astype(np.complex128 if np.iscomplexobj(data) else np.float64,
                                 copy=False)
         self.grad = None
         self.requires_grad = requires_grad
-        self.decay = decay
         self.name = name
         self.op = None
         self._parents = ()
@@ -132,7 +130,6 @@ def _result(data, parents, backward, op=None):
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = None
     out.requires_grad = False
-    out.decay = False
     out.name = None
     out.op = op
     out._parents = ()
@@ -300,12 +297,6 @@ def reduce_sum(a, axis=None, keepdims=False):
             # a writable copy: the read-only broadcast view must not become a.grad
             accumulate(a, np.broadcast_to(g, a.data.shape).copy())
     return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw, op="reduce_sum")
-
-
-def mean(a, axis=None, keepdims=False):
-    a = _lift(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def pow_scalar(a, k):

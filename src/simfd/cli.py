@@ -208,14 +208,14 @@ def cmd_physics_dump(args):
     config = resolve_config(args.config)
     geom = config.geometry
     out = _out_dir(args)
-    phases = None
+    params = None
     if args.checkpoint:
-        phases = training.load_checkpoint(args.checkpoint).params
+        params = training.load_checkpoint(args.checkpoint).params
     for q in (1, 2):
         term = geom.terminal(q)
-        if phases is not None:
-            theta = [wf.wrap_phase(t.data) for t in phases.terminal(q).theta]
-            xi = [wf.wrap_phase(t.data) for t in phases.terminal(q).xi]
+        if params is not None:
+            theta = [wf.wrap_phase(t.data) for t in params.phases(q, "theta")]
+            xi = [wf.wrap_phase(t.data) for t in params.phases(q, "xi")]
         else:
             theta = [np.zeros(term.tx_units) for _ in range(term.tx_layers)]
             xi = [np.zeros(term.rx_units) for _ in range(term.rx_layers)]

@@ -7,7 +7,7 @@ the concatenated soft output is aligned with the concatenated input
 stacks and the channel are complex128 (see autograd). Propagation and
 channel matrices enter the graph as fixed constants; the trainable state is
 the DNN weights, the per-layer phase vectors, batchnorm scale/shift, and
-(optionally) the power allocation.
+(optionally) the power allocation, all views into one ParamStore buffer.
 
 Once the phases are set, the stacks and the channel are linear in the
 transmitted field, so the forward composes each receiver's
@@ -22,6 +22,7 @@ cost does not grow with the batch.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,19 +37,28 @@ class ArchitectureError(ValueError):
     """Configuration and network structure disagree."""
 
 
+def _per_terminal(count):
+    """Property giving a TerminalLayout count for both terminals, (t1, t2);
+    cached, since the forward reads several per call."""
+    return cached_property(lambda self: tuple(count(t) for t in self.terminals))
+
+
 @dataclass(frozen=True)
 class EmnnArchitecture:
     """Layer-width schedule of the full network for one configuration."""
 
     n_bits: tuple
-    tx_antennas: tuple
-    rx_antennas: tuple
-    tx_units: tuple
-    rx_units: tuple
-    tx_layers: tuple
-    rx_layers: tuple
-    tx_channel: tuple    # channel-facing element counts per terminal
-    rx_channel: tuple
+    terminals: tuple     # (TerminalLayout, TerminalLayout)
+
+    tx_antennas = _per_terminal(lambda t: t.tx_antennas)
+    rx_antennas = _per_terminal(lambda t: t.rx_antennas)
+    tx_units = _per_terminal(lambda t: t.tx_units)
+    rx_units = _per_terminal(lambda t: t.rx_units)
+    tx_layers = _per_terminal(lambda t: t.tx_layers)
+    rx_layers = _per_terminal(lambda t: t.rx_layers)
+    # channel-facing element counts per terminal
+    tx_channel = _per_terminal(lambda t: math.prod(t.channel_grids[0]))
+    rx_channel = _per_terminal(lambda t: math.prod(t.channel_grids[1]))
 
     def other(self, q):
         return 2 if q == 1 else 1
@@ -102,111 +112,14 @@ class EmnnArchitecture:
 
 
 def build(config):
-    """Derive and validate the architecture for a SystemConfig."""
+    """Derive the architecture for a validated SystemConfig."""
     config.validate()
-    geom = config.geometry
-    t1, t2 = geom.terminals
-    arch = EmnnArchitecture(
-        n_bits=tuple(config.n_bits),
-        tx_antennas=(t1.tx_antennas, t2.tx_antennas),
-        rx_antennas=(t1.rx_antennas, t2.rx_antennas),
-        tx_units=(t1.tx_units, t2.tx_units),
-        rx_units=(t1.rx_units, t2.rx_units),
-        tx_layers=(t1.tx_layers, t2.tx_layers),
-        rx_layers=(t1.rx_layers, t2.rx_layers),
-        tx_channel=tuple(math.prod(t.channel_grids[0]) for t in geom.terminals),
-        rx_channel=tuple(math.prod(t.channel_grids[1]) for t in geom.terminals),
-    )
-    for q in (1, 2):
-        for module, layer, width in arch.layer_table(q):
-            if width < 1:
-                raise ArchitectureError(
-                    f"terminal {q}: {module}/{layer} has width {width}")
-    return arch
+    return EmnnArchitecture(tuple(config.n_bits), config.geometry.terminals)
 
 
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
-
-class TerminalParams:
-    """Trainable state of one terminal."""
-
-    def __init__(self):
-        self.tx_w = []
-        self.tx_b = []
-        self.theta = []      # one vector per TX stack layer
-        self.xi = []         # one vector per RX stack layer
-        self.rx_w = []
-        self.rx_b = []
-        self.rx_gamma = []
-        self.rx_beta = []
-        self.rx_bn = []      # BatchNormState per batchnorm layer
-
-
-class EmnnParams:
-    """All trainable tensors plus batchnorm running statistics."""
-
-    def __init__(self, terminals, power_logits=None):
-        self.terminals = terminals
-        self.power_logits = power_logits
-
-    def terminal(self, q):
-        return self.terminals[q - 1]
-
-    def named_tensors(self):
-        out = {}
-        for q in (1, 2):
-            tp = self.terminals[q - 1]
-            for i, (w, b) in enumerate(zip(tp.tx_w, tp.tx_b)):
-                out[f"t{q}.tx.w{i}"] = w
-                out[f"t{q}.tx.b{i}"] = b
-            for i, th in enumerate(tp.theta, 1):
-                out[f"t{q}.theta{i}"] = th
-            for i, xi in enumerate(tp.xi, 1):
-                out[f"t{q}.xi{i}"] = xi
-            for i, (w, b) in enumerate(zip(tp.rx_w, tp.rx_b)):
-                out[f"t{q}.rx.w{i}"] = w
-                out[f"t{q}.rx.b{i}"] = b
-            for i, (g, b) in enumerate(zip(tp.rx_gamma, tp.rx_beta)):
-                out[f"t{q}.rx_bn{i}.gamma"] = g
-                out[f"t{q}.rx_bn{i}.beta"] = b
-        if self.power_logits is not None:
-            out["power.logits"] = self.power_logits
-        return out
-
-    def named_states(self):
-        out = {}
-        for q in (1, 2):
-            for i, st in enumerate(self.terminals[q - 1].rx_bn):
-                out[f"t{q}.rx_bn{i}"] = st
-        return out
-
-    def trainables(self):
-        return list(self.named_tensors().values())
-
-    def copy(self):
-        clone = EmnnParams((TerminalParams(), TerminalParams()),
-                           None if self.power_logits is None else
-                           _clone(self.power_logits))
-        for src, dst in zip(self.terminals, clone.terminals):
-            dst.tx_w = [_clone(t) for t in src.tx_w]
-            dst.tx_b = [_clone(t) for t in src.tx_b]
-            dst.theta = [_clone(t) for t in src.theta]
-            dst.xi = [_clone(t) for t in src.xi]
-            dst.rx_w = [_clone(t) for t in src.rx_w]
-            dst.rx_b = [_clone(t) for t in src.rx_b]
-            dst.rx_gamma = [_clone(t) for t in src.rx_gamma]
-            dst.rx_beta = [_clone(t) for t in src.rx_beta]
-            dst.rx_bn = [st.copy() for st in src.rx_bn]
-        return clone
-
-
-def _clone(t):
-    out = ag.Tensor(t.data.copy(), requires_grad=t.requires_grad,
-                    name=t.name, decay=t.decay)
-    return out
-
 
 def xavier_limit(fan_in, fan_out):
     return np.sqrt(6.0 / (fan_in + fan_out))
@@ -219,59 +132,129 @@ def xavier_limit(fan_in, fan_out):
 BIAS_INIT = 0.3
 
 
-def init_params(arch, rng, trainable_power=False):
-    """Xavier weights, small positive biases, uniform [0, 2 pi) phases."""
-    terminals = (TerminalParams(), TerminalParams())
+def param_table(arch, trainable_power=False):
+    """(name, shape, decay, init) of every trainable, in checkpoint order.
+
+    `decay` marks the weight matrices, the only tensors under weight decay.
+    `init` is "xavier" (uniform, see xavier_limit), "phase" (uniform in
+    [0, 2 pi)) or a constant fill. Each `rx_bn{i}.gamma` row also names the
+    running statistics of its batchnorm layer.
+    """
+    rows = []
     for q in (1, 2):
-        tp = terminals[q - 1]
         fan_in = arch.n_bits[q - 1]
         for i, width in enumerate(arch.tx_widths(q)):
-            lim = xavier_limit(fan_in, width)
-            tp.tx_w.append(ag.Tensor(rng.uniform(-lim, lim, (fan_in, width)),
-                                     requires_grad=True, name=f"t{q}.tx.w{i}",
-                                     decay=True))
-            tp.tx_b.append(ag.Tensor(np.full(width, BIAS_INIT), requires_grad=True,
-                                     name=f"t{q}.tx.b{i}"))
+            rows += [(f"t{q}.tx.w{i}", (fan_in, width), True, "xavier"),
+                     (f"t{q}.tx.b{i}", (width,), False, BIAS_INIT)]
             fan_in = width
-        for layer in range(1, arch.tx_layers[q - 1] + 1):
-            tp.theta.append(ag.Tensor(rng.uniform(0.0, 2.0 * np.pi, arch.tx_units[q - 1]),
-                                      requires_grad=True, name=f"t{q}.theta{layer}"))
-        for layer in range(1, arch.rx_layers[q - 1] + 1):
-            tp.xi.append(ag.Tensor(rng.uniform(0.0, 2.0 * np.pi, arch.rx_units[q - 1]),
-                                   requires_grad=True, name=f"t{q}.xi{layer}"))
+        rows += [(f"t{q}.theta{layer}", (arch.tx_units[q - 1],), False, "phase")
+                 for layer in range(1, arch.tx_layers[q - 1] + 1)]
+        rows += [(f"t{q}.xi{layer}", (arch.rx_units[q - 1],), False, "phase")
+                 for layer in range(1, arch.rx_layers[q - 1] + 1)]
         fan_in = arch.rx_input(q)
-        widths = arch.rx_widths(q)
-        bn_widths = (arch.rx_input(q),) + widths
-        for i, width in enumerate(bn_widths):
-            tp.rx_gamma.append(ag.Tensor(np.ones(width), requires_grad=True,
-                                         name=f"t{q}.rx_bn{i}.gamma"))
-            tp.rx_beta.append(ag.Tensor(np.zeros(width), requires_grad=True,
-                                        name=f"t{q}.rx_bn{i}.beta"))
-            tp.rx_bn.append(ag.BatchNormState(width))
-        for i, width in enumerate(widths):
-            lim = xavier_limit(fan_in, width)
-            tp.rx_w.append(ag.Tensor(rng.uniform(-lim, lim, (fan_in, width)),
-                                     requires_grad=True, name=f"t{q}.rx.w{i}",
-                                     decay=True))
-            tp.rx_b.append(ag.Tensor(np.full(width, BIAS_INIT), requires_grad=True,
-                                     name=f"t{q}.rx.b{i}"))
+        for i, width in enumerate(arch.rx_widths(q)):
+            rows += [(f"t{q}.rx.w{i}", (fan_in, width), True, "xavier"),
+                     (f"t{q}.rx.b{i}", (width,), False, BIAS_INIT)]
             fan_in = width
-    logits = None
+        for i, width in enumerate((arch.rx_input(q),) + arch.rx_widths(q)):
+            rows += [(f"t{q}.rx_bn{i}.gamma", (width,), False, 1.0),
+                     (f"t{q}.rx_bn{i}.beta", (width,), False, 0.0)]
     if trainable_power:
-        total = arch.tx_antennas[0] + arch.tx_antennas[1]
-        logits = ag.Tensor(np.zeros(total), requires_grad=True, name="power.logits")
-    return EmnnParams(terminals, logits)
+        rows.append(("power.logits", (sum(arch.tx_antennas),), False, 0.0))
+    return rows
+
+
+class ParamStore:
+    """Every trainable as a view into one flat float64 buffer, plus the
+    batchnorm running statistics.
+
+    The buffer holds the decayed tensors first, in table order, then the
+    rest, so weight decay covers its prefix `flat[:decayed]`. Optimizer
+    moments use the same layout (`views`). `tensors` keeps table order,
+    which is the checkpoint's.
+    """
+
+    def __init__(self, table, flat=None, states=None):
+        self.table = table
+        order = [row for row in table if row[2]] + [row for row in table if not row[2]]
+        self.decayed = sum(math.prod(shape) for _, shape, decay, _ in table if decay)
+        self._spans, offset = {}, 0
+        for name, shape, _, _ in order:
+            self._spans[name] = slice(offset, offset + math.prod(shape))
+            offset += math.prod(shape)
+        self.flat = np.zeros(offset) if flat is None else flat
+        self.tensors = {name: ag.Tensor(view, requires_grad=True, name=name)
+                        for name, view in self.views(self.flat).items()}
+        self._order = [self.tensors[name] for name in self._spans]
+        self._phases = {(q, stack): [t for name, t in self.tensors.items()
+                                     if name.startswith(f"t{q}.{stack}")]
+                        for q in (1, 2) for stack in ("theta", "xi")}
+        self.states = states if states is not None else {
+            name.removesuffix(".gamma"): ag.BatchNormState(shape[0])
+            for name, shape, _, _ in table if name.endswith(".gamma")}
+
+    def views(self, buffer):
+        """{name: view} of a buffer in this store's layout, in table order."""
+        return {name: buffer[self._spans[name]].reshape(shape)
+                for name, shape, _, _ in self.table}
+
+    def __getitem__(self, name):
+        return self.tensors[name]
+
+    @property
+    def power_logits(self):
+        return self.tensors.get("power.logits")
+
+    def phases(self, q, stack):
+        """Terminal q's phase vectors of stack "theta" (TX) or "xi" (RX),
+        layer 1 first."""
+        return self._phases[q, stack]
+
+    def named_tensors(self):
+        return self.tensors
+
+    def named_states(self):
+        return self.states
+
+    def trainables(self):
+        return list(self.tensors.values())
+
+    def flat_grad(self):
+        """Every tensor's gradient in buffer layout; zeros where none arrived."""
+        return np.concatenate([t.grad.ravel() if t.grad is not None
+                               else np.zeros(t.size) for t in self._order])
+
+    def copy(self):
+        return ParamStore(self.table, self.flat.copy(),
+                          {name: st.copy() for name, st in self.states.items()})
+
+
+def init_params(arch, rng, trainable_power=False):
+    """Xavier weights, small positive biases, uniform [0, 2 pi) phases,
+    drawn from `rng` in table order."""
+    table = param_table(arch, trainable_power)
+    params = ParamStore(table)
+    for name, shape, _, init in table:
+        if init == "xavier":
+            lim = xavier_limit(*shape)
+            params[name].data[...] = rng.uniform(-lim, lim, shape)
+        elif init == "phase":
+            params[name].data[...] = rng.uniform(0.0, 2.0 * np.pi, shape)
+        else:
+            params[name].data[...] = init
+    return params
 
 
 # ---------------------------------------------------------------------------
 # forward stages
 # ---------------------------------------------------------------------------
 
-def tx_dnn_forward(bits, tp):
-    """Three linear+relu layers mapping a bit block to the raw antenna pairs."""
+def tx_dnn_forward(bits, params, q):
+    """Terminal q's three linear+relu layers mapping a bit block to the raw
+    antenna pairs."""
     x = bits if isinstance(bits, ag.Tensor) else ag.Tensor(np.asarray(bits, dtype=float))
-    for w, b in zip(tp.tx_w, tp.tx_b):
-        x = ag.relu(ag.add(ag.matmul(x, w), b))
+    for i in range(3):
+        x = ag.relu(ag.add(ag.matmul(x, params[f"t{q}.tx.w{i}"]), params[f"t{q}.tx.b{i}"]))
     return x
 
 
@@ -322,7 +305,7 @@ def tx_sim_forward(x, factors, thetas):
     From the identity on the antennas this composes T^T, with
     T = Phi_L V_L ... Phi_1 V_1 mapping the antennas to the last layer.
     """
-    for v, theta in zip(factors, thetas):
+    for v, theta in zip(factors, thetas, strict=True):
         x = ag.phase_shift(ag.matmul(x, v.T), theta)
     return x
 
@@ -335,7 +318,7 @@ def rx_sim_forward(y, factors, xis):
     `factors` are the stack's outward factors V_k (wavefield.stack_factors);
     by reciprocity V_k^T carries layer k back to layer k-1.
     """
-    for v, xi in zip(reversed(factors), reversed(xis)):
+    for v, xi in zip(reversed(factors), reversed(xis), strict=True):
         y = ag.matmul(ag.phase_shift(y, xi), v)
     return y
 
@@ -353,13 +336,16 @@ def channel_layer(t1, t2, realization):
                  for q in (1, 2))
 
 
-def rx_dnn_forward(y, tp, training):
-    """Batchnorm / linear+relu alternation closed by a sigmoid."""
-    h = ag.batchnorm(y, tp.rx_gamma[0], tp.rx_beta[0], tp.rx_bn[0], training)
-    h = ag.relu(ag.add(ag.matmul(h, tp.rx_w[0]), tp.rx_b[0]))
-    h = ag.batchnorm(h, tp.rx_gamma[1], tp.rx_beta[1], tp.rx_bn[1], training)
-    h = ag.relu(ag.add(ag.matmul(h, tp.rx_w[1]), tp.rx_b[1]))
-    h = ag.batchnorm(h, tp.rx_gamma[2], tp.rx_beta[2], tp.rx_bn[2], training)
+def rx_dnn_forward(y, params, q, training):
+    """Terminal q's batchnorm / linear+relu alternation closed by a sigmoid."""
+    h = y
+    for i in range(3):
+        bn = f"t{q}.rx_bn{i}"
+        h = ag.batchnorm(h, params[bn + ".gamma"], params[bn + ".beta"],
+                         params.states[bn], training)
+        if i < 2:
+            h = ag.relu(ag.add(ag.matmul(h, params[f"t{q}.rx.w{i}"]),
+                               params[f"t{q}.rx.b{i}"]))
     return ag.sigmoid(h)
 
 
@@ -422,19 +408,19 @@ class Emnn:
         joint, sent = [], []
         p_alloc = allocate_power(power_dbm, self.arch, self.params)
         for q, p_q in zip((1, 2), p_alloc):
-            tp = self.params.terminal(q)
             block = bits[:, :n1] if q == 1 else bits[:, n1:]
-            raw = tx_dnn_forward(block, tp)
+            raw = tx_dnn_forward(block, self.params, q)
             joint.append(ag.to_complex(power_control(raw, p_q)))
             eye = np.eye(self.arch.tx_antennas[q - 1], dtype=complex)
-            sent.append(tx_sim_forward(eye, self.tx_factors[q - 1], tp.theta))
+            sent.append(tx_sim_forward(eye, self.tx_factors[q - 1],
+                                       self.params.phases(q, "theta")))
         joint = ag.concat(joint, axis=1)
         fields = channel_layer(sent[0], sent[1], realization)
 
         received = []
         for q, f_q in zip((1, 2), fields):
-            tp = self.params.terminal(q)
-            h_q = rx_sim_forward(f_q, self.rx_factors[q - 1], tp.xi)
+            h_q = rx_sim_forward(f_q, self.rx_factors[q - 1],
+                                 self.params.phases(q, "xi"))
             r_q = ag.to_pair(ag.matmul(joint, h_q))
             if noise_override is not None:
                 n_q = noise_override[q - 1]
@@ -445,8 +431,8 @@ class Emnn:
                                     (bits.shape[0], self.arch.rx_antennas[q - 1]),
                                     rng)
             r_q = ag.add(r_q, wf.complex_to_pair(n_q))
-            received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale), tp,
-                                           training))
+            received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale),
+                                           self.params, q, training))
         # terminal 2 outputs the estimate of stream 1 and vice versa
         return ag.concat([received[1], received[0]], axis=1)
 
@@ -455,11 +441,8 @@ def export_phase_table(params):
     """Hardware-facing plain-text table: terminal, stack, layer, unit, phase."""
     lines = ["# terminal stack layer unit phase_rad"]
     for q in (1, 2):
-        tp = params.terminal(q)
-        for layer, th in enumerate(tp.theta, 1):
-            for unit, value in enumerate(wf.wrap_phase(th.data)):
-                lines.append(f"{q} tx {layer} {unit} {value:.12f}")
-        for layer, xi in enumerate(tp.xi, 1):
-            for unit, value in enumerate(wf.wrap_phase(xi.data)):
-                lines.append(f"{q} rx {layer} {unit} {value:.12f}")
+        for side, stack in (("tx", "theta"), ("rx", "xi")):
+            for layer, phase in enumerate(params.phases(q, stack), 1):
+                for unit, value in enumerate(wf.wrap_phase(phase.data)):
+                    lines.append(f"{q} {side} {layer} {unit} {value:.12f}")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,9 @@ tensors, little endian) that round-trips byte-identically; the per-epoch
 history is additionally emitted as CSV next to the checkpoint.
 """
 
+import io
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -63,61 +65,44 @@ def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
 
 
 class AdamW:
-    """AdamW over a parameter list, one vectorized update per step.
+    """AdamW over a ParamStore, one vectorized update per step.
 
-    The trainables live in one flat float64 buffer, each parameter's `data`
-    a view into it, with flat first and second moments beside it. Tensors
-    flagged `decay` come first, so weight decay covers a prefix of the
-    buffer; phase vectors, biases and batchnorm parameters carry
-    decay=False and are excluded from it. `m` and `v` map each name to its
-    view of the moments. Rebinding a parameter's `data` afterwards detaches
-    it from the optimizer.
+    Steps the store's flat buffer in place, with flat first and second
+    moments `m` and `v` in the same layout. Weight decay covers the
+    buffer's decayed prefix (the weight matrices); phase vectors, biases and
+    batchnorm parameters are excluded from it.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
-        self.params = list(params)
+        self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._layout = [p for p in self.params if p.decay] + \
-            [p for p in self.params if not p.decay]
-        self.flat = np.concatenate([p.data.ravel() for p in self._layout])
-        self._m = np.zeros_like(self.flat)
-        self._v = np.zeros_like(self.flat)
-        self.m, self.v, offset = {}, {}, 0
-        for p in self._layout:
-            span = slice(offset, offset + p.data.size)
-            p.data = self.flat[span].reshape(p.data.shape)
-            self.m[p.name] = self._m[span].reshape(p.data.shape)
-            self.v[p.name] = self._v[span].reshape(p.data.shape)
-            offset = span.stop
-        decayed = sum(p.data.size for p in self.params if p.decay)
-        self._spans = ((slice(0, decayed), weight_decay), (slice(decayed, offset), 0.0))
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        decayed = params.decayed
+        self._spans = ((slice(0, decayed), weight_decay), (slice(decayed, None), 0.0))
 
     def step(self, lr):
         self.step_count += 1
-        grad = np.concatenate([p.grad.ravel() if p.grad is not None
-                               else np.zeros(p.data.size) for p in self._layout])
+        flat, grad = self.params.flat, self.params.flat_grad()
         try:
             for span, wd in self._spans:
-                adamw_step(self.flat[span], grad[span], self._m[span], self._v[span],
+                adamw_step(flat[span], grad[span], self.m[span], self.v[span],
                            self.step_count, lr, self.beta1, self.beta2, self.eps, wd)
         except TrainingDiverged as exc:
-            name = next(p.name for p in self.params if p.grad is not None
-                        and not np.isfinite(p.grad).all())
+            name = next(name for name, t in self.params.named_tensors().items()
+                        if t.grad is not None and not np.isfinite(t.grad).all())
             raise TrainingDiverged(f"{exc} in {name}") from exc
 
     def state_arrays(self):
-        return ({k: a.copy() for k, a in self.m.items()},
-                {k: a.copy() for k, a in self.v.items()})
+        return self.m.copy(), self.v.copy()
 
     def load_state(self, m, v, step_count):
-        for key in self.m:
-            if key not in m or key not in v or m[key].shape != self.m[key].shape \
-                    or v[key].shape != self.v[key].shape:
-                raise CheckpointError(f"optimizer state missing or mismatched for {key}")
-            self.m[key][...] = m[key]
-            self.v[key][...] = v[key]
+        if m.shape != self.m.shape or v.shape != self.v.shape:
+            raise CheckpointError("optimizer state does not match the parameters")
+        self.m[...] = m
+        self.v[...] = v
         self.step_count = int(step_count)
 
 
@@ -156,7 +141,11 @@ def sample_batch(rng, config):
 # ---------------------------------------------------------------------------
 
 class Checkpoint:
-    """Snapshot of a training run: config, params, optimizer, rng, history."""
+    """Snapshot of a training run: config, params, optimizer, rng, history.
+
+    `opt_m` and `opt_v` are the optimizer's flat moments, in the layout of
+    `params.flat`.
+    """
 
     def __init__(self, config, params, opt_m, opt_v, opt_step, rng_state,
                  history, epoch, diverged=False):
@@ -175,15 +164,16 @@ class Checkpoint:
 
 
 def _checkpoint_arrays(ck):
-    arrays = {}
-    for name, t in ck.params.named_tensors().items():
-        arrays[name] = t.data
+    """Named arrays in file order: the trainables in table order, the
+    batchnorm statistics, then the optimizer moments sorted by name."""
+    arrays = {name: t.data for name, t in ck.params.named_tensors().items()}
     for key, st in ck.params.named_states().items():
         arrays[f"{key}.running_mean"] = st.running_mean
         arrays[f"{key}.running_var"] = st.running_var
-    for key in sorted(ck.opt_m):
-        arrays[f"opt.m.{key}"] = ck.opt_m[key]
-        arrays[f"opt.v.{key}"] = ck.opt_v[key]
+    opt_m, opt_v = ck.params.views(ck.opt_m), ck.params.views(ck.opt_v)
+    for key in sorted(opt_m):
+        arrays[f"opt.m.{key}"] = opt_m[key]
+        arrays[f"opt.v.{key}"] = opt_v[key]
     return arrays
 
 
@@ -227,35 +217,57 @@ def _read_exact(fh, count, what):
 def load_checkpoint(path):
     """Read a checkpoint; every malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError("not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        try:
-            header = json.loads(fh.read(header_len).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-        try:
-            arrays = {}
-            for spec in header["tensors"]:
-                shape = spec["shape"]
-                if not isinstance(shape, list) or any(
-                        isinstance(n, bool) or not isinstance(n, int) or n < 0
-                        for n in shape):
-                    raise CheckpointError(f"tensor {spec['name']} has shape {shape!r}, "
-                                          "not a list of non-negative integers")
-                shape = tuple(shape)
-                count = int(np.prod(shape)) if shape else 1
-                raw = _read_exact(fh, 8 * count, "tensor data")
-                arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise CheckpointError("trailing bytes after the tensor data")
-            return _assemble_checkpoint(header, arrays)
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint missing {exc}") from exc
+        # in memory, a read past the end stops at the file's size
+        fh = io.BytesIO(fh.read())
+    magic = fh.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError("not a checkpoint file")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+    try:
+        header = json.loads(_read_exact(fh, header_len, "header").decode())
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
+        arrays = {}
+        for spec in header["tensors"]:
+            shape = spec["shape"]
+            if not isinstance(shape, list) or any(
+                    isinstance(n, bool) or not isinstance(n, int) or n < 0
+                    for n in shape):
+                raise CheckpointError(f"tensor {spec['name']} has shape {shape!r}, "
+                                      "not a list of non-negative integers")
+            raw = _read_exact(fh, 8 * math.prod(shape), "tensor data")
+            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError("trailing bytes after the tensor data")
+        return _assemble_checkpoint(header, arrays)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_history(rows):
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == 3 and _is_count(row[0])
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row[1:])
+        for row in rows)
+
+
+# type checks of the header's scalar entries
+_HEADER_CHECKS = {
+    "opt_step": _is_count,
+    "epoch": _is_count,
+    "history": _is_history,
+    "diverged": lambda value: isinstance(value, bool),
+    "rng_state": lambda value: isinstance(value, dict),
+}
 
 
 def _assemble_checkpoint(header, arrays):
@@ -266,22 +278,24 @@ def _assemble_checkpoint(header, arrays):
             raise CheckpointError(f"tensor {name} shape {arrays[name].shape} != {shape}")
         return arrays[name]
 
+    header = {"diverged": False, **header}
+    for key, valid in _HEADER_CHECKS.items():
+        if not valid(header[key]):
+            raise CheckpointError(f"checkpoint {key} is malformed: {header[key]!r}")
     config = config_from_dict(header["config"])
     if config.digest() != header["config_digest"]:
         raise CheckpointError("config digest mismatch")
-    arch = emnn.build(config)
-    params = emnn.init_params(arch, np.random.default_rng(0), config.trainable_power)
-    opt_m, opt_v = {}, {}
-    for name, t in params.named_tensors().items():
-        t.data = take(name, t.data.shape)
-        opt_m[name] = take(f"opt.m.{name}", t.data.shape)
-        opt_v[name] = take(f"opt.v.{name}", t.data.shape)
+    params = emnn.ParamStore(emnn.param_table(emnn.build(config), config.trainable_power))
+    opt_m, opt_v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    for prefix, buffer in (("", params.flat), ("opt.m.", opt_m), ("opt.v.", opt_v)):
+        for name, view in params.views(buffer).items():
+            view[...] = take(prefix + name, view.shape)
     for key, st in params.named_states().items():
         st.running_mean = take(f"{key}.running_mean", st.running_mean.shape)
         st.running_var = take(f"{key}.running_var", st.running_var.shape)
     return Checkpoint(config, params, opt_m, opt_v, header["opt_step"],
                       header["rng_state"], [tuple(row) for row in header["history"]],
-                      header["epoch"], header.get("diverged", False))
+                      header["epoch"], header["diverged"])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,7 @@ def _train_run(config, source, seed, epochs, frozen=None):
     frozen realization is given."""
     rng = np.random.default_rng(seed)
     model = emnn.Emnn(config, rng=rng)
-    opt = AdamW(model.params.trainables(), weight_decay=config.training.weight_decay)
+    opt = AdamW(model.params, weight_decay=config.training.weight_decay)
     return _fit(
         model, opt, rng, epochs, lambda epoch: lr_schedule(epoch, config.training),
         (lambda: frozen) if frozen is not None else (lambda: source.statistical(rng)))
@@ -372,7 +386,7 @@ def finetune(base, realization, rng, epochs=None):
         model.check_realization(realization)
     except emnn.ArchitectureError as exc:
         raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
-    opt = AdamW(model.params.trainables(), weight_decay=tc.weight_decay)
+    opt = AdamW(model.params, weight_decay=tc.weight_decay)
     opt.load_state(base.opt_m, base.opt_v, base.opt_step)
     return _fit(model, opt, rng, epochs, lambda epoch: tc.finetune_learning_rate,
                 lambda: realization)

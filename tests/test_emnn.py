@@ -64,26 +64,85 @@ class TestBuild:
         assert ("rx-dnn", "sigmoid", 4) in table
 
 
+def init_digest(cfg):
+    """sha256 over (name, <f8 data) of every tensor in table order, then every
+    batchnorm state's name, running mean and running var, of a seed-0 init;
+    with the tensor and scalar counts."""
+    import hashlib
+    params = emnn.init_params(emnn.build(cfg), np.random.default_rng(0),
+                              cfg.trainable_power)
+    h = hashlib.sha256()
+    for name, t in params.named_tensors().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(t.data, "<f8").tobytes())
+    for name, st in params.named_states().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(st.running_mean, "<f8").tobytes())
+        h.update(np.ascontiguousarray(st.running_var, "<f8").tobytes())
+    tensors = params.trainables()
+    return h.hexdigest(), len(tensors), sum(t.size for t in tensors)
+
+
+class TestParamStore:
+    # the rng draw order of init_params: tx w0..w2, theta, xi, rx w0..w1 per
+    # terminal. Only Generator.uniform and constants are involved, so the
+    # digests do not depend on the BLAS build
+    INIT_DIGESTS = {
+        "mini": ("0babbd1cd8030e4400a81fb2eca36b028770780333adb66534e138f1ad75485f",
+                 40, 464),
+        "reference": ("03d7950c1d3ebf3b3331dcf90d80656b0d7be050f14db7a45ec5edfbc4fa1e58",
+                      44, 2906),
+        "mini-power": ("1f8763ef4c31707e6b7674c7670fc4cc329d6172a5966cc9145af19f44296fad",
+                       41, 472),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INIT_DIGESTS))
+    def test_init_draws_pinned(self, case):
+        from dataclasses import replace
+        cfg = {"mini": miniature_config(), "reference": reference_config(),
+               "mini-power": replace(miniature_config(), trainable_power=True)}[case]
+        assert init_digest(cfg) == self.INIT_DIGESTS[case]
+
+    def test_tensors_view_one_buffer_decayed_first(self, mini):
+        params = emnn.init_params(emnn.build(mini), np.random.default_rng(2))
+        assert params.flat.size == sum(t.size for t in params.trainables())
+        prefix = params.flat[:params.decayed]
+        for name, _, decay, _ in params.table:
+            t = params[name]
+            assert np.shares_memory(t.data, params.flat)
+            assert np.shares_memory(t.data, prefix) == decay
+        assert params.decayed == sum(t.size for n, t in params.named_tensors().items()
+                                     if ".w" in n)
+
+    def test_copy_is_independent(self, mini_model):
+        params = mini_model.params
+        before = params.flat.copy()
+        clone = params.copy()
+        clone.flat[:] = 0.0
+        clone.states["t1.rx_bn0"].running_mean[:] = 1.0
+        assert np.array_equal(params.flat, before)
+        assert not params.states["t1.rx_bn0"].running_mean.any()
+        assert all(np.shares_memory(t.data, clone.flat) for t in clone.trainables())
+
+
 class TestTxDnn:
     def test_zero_weights_zero_output(self, mini):
         arch = emnn.build(mini)
         params = emnn.init_params(arch, np.random.default_rng(1))
-        tp = params.terminal(1)
-        for w in tp.tx_w:
-            w.data[:] = 0.0
-        for b in tp.tx_b:
-            b.data[:] = 0.0
-        out = emnn.tx_dnn_forward(np.ones((3, 4)), tp)
+        for i in range(3):
+            params[f"t1.tx.w{i}"].data[:] = 0.0
+            params[f"t1.tx.b{i}"].data[:] = 0.0
+        out = emnn.tx_dnn_forward(np.ones((3, 4)), params, 1)
         assert np.array_equal(out.data, np.zeros((3, 8)))
 
     def test_widths(self, mini_model):
-        out = emnn.tx_dnn_forward(np.zeros((5, 4)), mini_model.params.terminal(1))
+        out = emnn.tx_dnn_forward(np.zeros((5, 4)), mini_model.params, 1)
         assert out.data.shape == (5, 8)
 
     def test_finite_for_random_inputs(self, mini_model):
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, (16, 4)).astype(float)
-        out = emnn.tx_dnn_forward(bits, mini_model.params.terminal(1))
+        out = emnn.tx_dnn_forward(bits, mini_model.params, 1)
         assert np.isfinite(out.data).all()
 
 
@@ -231,22 +290,21 @@ class TestRxDnn:
     def test_outputs_strictly_inside_unit_interval(self, mini_model):
         rng = np.random.default_rng(15)
         y = ag.Tensor(rng.standard_normal((32, 8)) * 5.0)
-        out = emnn.rx_dnn_forward(y, mini_model.params.terminal(1), training=True)
+        out = emnn.rx_dnn_forward(y, mini_model.params, 1, training=True)
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_zero_last_scale_gives_half(self, mini):
         arch = emnn.build(mini)
         params = emnn.init_params(arch, np.random.default_rng(16))
-        tp = params.terminal(1)
-        tp.rx_gamma[2].data[:] = 0.0
-        tp.rx_beta[2].data[:] = 0.0
+        params["t1.rx_bn2.gamma"].data[:] = 0.0
+        params["t1.rx_bn2.beta"].data[:] = 0.0
         y = ag.Tensor(np.random.default_rng(17).standard_normal((8, 8)))
-        out = emnn.rx_dnn_forward(y, tp, training=True)
+        out = emnn.rx_dnn_forward(y, params, 1, training=True)
         assert np.allclose(out.data, 0.5)
 
     def test_output_width_is_decoded_stream(self, mini_model):
         out = emnn.rx_dnn_forward(ag.Tensor(np.zeros((4, 8))),
-                                  mini_model.params.terminal(1), training=False)
+                                  mini_model.params, 1, training=False)
         assert out.data.shape == (4, 4)
 
 
@@ -307,7 +365,7 @@ class TestForwardFull:
         best_model, best_loss = None, np.inf
         for seed in (20, 21, 22):
             model = emnn.Emnn(cfg, rng=np.random.default_rng(seed))
-            opt = training.AdamW(model.params.trainables(),
+            opt = training.AdamW(model.params,
                                  weight_decay=cfg.training.weight_decay)
             rng = np.random.default_rng(seed + 1000)
             for epoch in range(600):
@@ -435,7 +493,7 @@ class TestPhaseExport:
 
     def test_table_wraps_negative_phases(self, mini_model):
         params = mini_model.params.copy()
-        params.terminal(1).theta[0].data[0] = -1.0
+        params["t1.theta1"].data[0] = -1.0
         line = emnn.export_phase_table(params).splitlines()[1]
         assert line.startswith("1 tx 1 0 ")
         assert float(line.split()[-1]) == pytest.approx(2 * np.pi - 1.0, abs=1e-12)

@@ -347,6 +347,21 @@ class TestCli:
         row, col, re, im = links[1].split(",")
         assert complex(float(re), float(im)) == want[int(row), int(col)]
 
+    def test_physics_dump_rejects_phases_of_another_depth(self, quick_config,
+                                                         tmp_path, capsys):
+        # one layer's phases do not fit mini's two-layer stacks
+        from simfd.config import with_layers
+        shallow = with_layers(quick_config, 1)
+        ck = training.train_base(replace(shallow, training=replace(
+            shallow.training, epochs=2)))
+        path = tmp_path / "shallow.ckpt"
+        training.save_checkpoint(ck, path)
+        code = cli.main(["physics-dump", "--config", "mini", "--checkpoint", str(path),
+                         "--out", str(tmp_path / "dump")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_sweep_smoke(self, quick_config, tmp_path):
         cfg = replace(quick_config,
                       training=replace(quick_config.training, epochs=6),

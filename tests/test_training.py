@@ -1,5 +1,9 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simfd.autograd as ag
 import simfd.emnn as emnn
@@ -65,20 +69,20 @@ class TestXavierInit:
         from simfd.config import reference_config
         params = emnn.init_params(emnn.build(reference_config()),
                                   np.random.default_rng(3))
-        for q in (1, 2):
-            tp = params.terminal(q)
-            for w in tp.tx_w + tp.rx_w:
-                fan_in, fan_out = w.data.shape
-                assert np.all(np.abs(w.data) <= np.sqrt(6.0 / (fan_in + fan_out)))
+        weights = [params[name] for name, _, _, init in params.table
+                   if init == "xavier"]
+        assert len(weights) == 2 * (3 + 2)
+        for w in weights:
+            fan_in, fan_out = w.data.shape
+            assert np.all(np.abs(w.data) <= np.sqrt(6.0 / (fan_in + fan_out)))
 
     def test_empirical_variance(self):
         # a 200-bit, 250-antenna terminal: its last TX weight is 200 x 500
-        arch = emnn.EmnnArchitecture(n_bits=(200, 1), tx_antennas=(250, 1),
-                                     rx_antennas=(1, 1), tx_units=(1, 1),
-                                     rx_units=(1, 1), tx_layers=(0, 0),
-                                     rx_layers=(0, 0), tx_channel=(250, 1),
-                                     rx_channel=(1, 1))
-        w = emnn.init_params(arch, np.random.default_rng(4)).terminal(1).tx_w[2]
+        from simfd.wavefield import TerminalLayout
+        big = TerminalLayout((250, 1), (1, 1), (1, 1), (1, 1), 0, 0)
+        small = TerminalLayout((1, 1), (1, 1), (1, 1), (1, 1), 0, 0)
+        arch = emnn.EmnnArchitecture(n_bits=(200, 1), terminals=(big, small))
+        w = emnn.init_params(arch, np.random.default_rng(4))["t1.tx.w2"]
         assert w.data.shape == (200, 500)
         want = 2.0 / (200 + 500)
         assert abs(w.data.var() - want) / want < 0.05
@@ -86,16 +90,27 @@ class TestXavierInit:
     def test_phase_vectors_uniform_range(self, quick_config):
         params = emnn.init_params(emnn.build(quick_config),
                                   np.random.default_rng(6))
-        for q in (1, 2):
-            for th in params.terminal(q).theta + params.terminal(q).xi:
-                assert np.all((th.data >= 0) & (th.data < 2 * np.pi))
+        phases = [params.phases(q, stack) for q in (1, 2) for stack in ("theta", "xi")]
+        assert [len(p) for p in phases] == [2, 2, 2, 2]
+        for th in sum(phases, []):
+            assert np.all((th.data >= 0) & (th.data < 2 * np.pi))
+
+
+def store(*rows):
+    """A ParamStore over (name, value, decay) rows, holding each value."""
+    params = emnn.ParamStore([(name, np.shape(value), decay, 0.0)
+                              for name, value, decay in rows])
+    for name, value, _ in rows:
+        params[name].data[...] = value
+    return params
 
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
-        p = ag.Tensor(np.array([1.0, -2.0]), requires_grad=True, name="p")
+        params = store(("p", [1.0, -2.0], False))
+        p = params["p"]
         p.grad = np.zeros(2)
-        opt = training.AdamW([p], weight_decay=0.0)
+        opt = training.AdamW(params, weight_decay=0.0)
         before = p.data.copy()
         opt.step(0.1)
         assert np.array_equal(p.data, before)
@@ -104,58 +119,59 @@ class TestAdamW:
         # one step from zero moments: m_hat = g, v_hat = g^2,
         # update = g / (|g| + eps) + wd * theta0
         theta0, g, lr, wd = 0.7, 0.3, 0.01, 0.1
-        p = ag.Tensor(np.array([theta0]), requires_grad=True, name="p", decay=True)
+        params = store(("p", [theta0], True))
+        p = params["p"]
         p.grad = np.array([g])
-        opt = training.AdamW([p], weight_decay=wd)
+        opt = training.AdamW(params, weight_decay=wd)
         opt.step(lr)
         want = theta0 - lr * (g / (abs(g) + 1e-8) + wd * theta0)
         assert p.data[0] == pytest.approx(want, rel=1e-12)
 
     def test_phases_excluded_from_decay(self):
-        theta = ag.Tensor(np.array([1.0]), requires_grad=True, name="theta")
+        params = store(("theta", [1.0], False))
+        theta = params["theta"]
         theta.grad = np.zeros(1)
-        opt = training.AdamW([theta], weight_decay=0.5)
+        opt = training.AdamW(params, weight_decay=0.5)
         opt.step(0.1)
         assert theta.data[0] == 1.0
 
     def test_non_finite_gradient_aborts(self):
-        p = ag.Tensor(np.array([1.0]), requires_grad=True, name="p")
-        p.grad = np.array([np.nan])
-        opt = training.AdamW([p])
+        params = store(("p", [1.0], False))
+        params["p"].grad = np.array([np.nan])
+        opt = training.AdamW(params)
         with pytest.raises(training.TrainingDiverged):
             opt.step(0.1)
-
 
     def test_fused_step_matches_per_tensor_reference(self):
         rng = np.random.default_rng(12)
         shapes = [(3, 2), (4,), (2, 2), (5,), (1, 3)]
         decay = [True, False, True, False, False]
-        params = [ag.Tensor(rng.standard_normal(shape), requires_grad=True,
-                            name=f"p{i}", decay=d)
-                  for i, (shape, d) in enumerate(zip(shapes, decay))]
+        params = store(*[(f"p{i}", rng.standard_normal(shape), d)
+                         for i, (shape, d) in enumerate(zip(shapes, decay))])
+        tensors = params.trainables()
         reference = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
-                     for p in params]
+                     for p in tensors]
         opt = training.AdamW(params, weight_decay=0.05)
         for step in range(1, 21):
             lr = 0.01 * 0.9 ** step
-            for i, p in enumerate(params):
+            for i, p in enumerate(tensors):
                 p.grad = None if i == 1 else rng.standard_normal(p.shape)
             opt.step(lr)
-            for p, (data, m, v) in zip(params, reference):
+            m, v = params.views(opt.m), params.views(opt.v)
+            for p, d, (data, ref_m, ref_v) in zip(tensors, decay, reference):
                 grad = np.zeros(p.shape) if p.grad is None else p.grad
-                training.adamw_step(data, grad, m, v, step, lr,
-                                    weight_decay=0.05 if p.decay else 0.0)
+                training.adamw_step(data, grad, ref_m, ref_v, step, lr,
+                                    weight_decay=0.05 if d else 0.0)
                 assert np.array_equal(p.data, data)
-                assert np.array_equal(opt.m[p.name], m)
-                assert np.array_equal(opt.v[p.name], v)
-        assert all(np.shares_memory(p.data, opt.flat) for p in params)
+                assert np.array_equal(m[p.name], ref_m)
+                assert np.array_equal(v[p.name], ref_v)
+        assert all(np.shares_memory(p.data, params.flat) for p in tensors)
 
     def test_non_finite_gradient_names_the_tensor(self):
-        a = ag.Tensor(np.ones(2), requires_grad=True, name="a", decay=True)
-        b = ag.Tensor(np.ones(3), requires_grad=True, name="b")
-        a.grad = np.zeros(2)
-        b.grad = np.array([0.0, np.inf, 0.0])
-        opt = training.AdamW([a, b])
+        params = store(("a", np.ones(2), True), ("b", np.ones(3), False))
+        params["a"].grad = np.zeros(2)
+        params["b"].grad = np.array([0.0, np.inf, 0.0])
+        opt = training.AdamW(params)
         with pytest.raises(training.TrainingDiverged, match="non-finite gradient in b"):
             opt.step(0.1)
 
@@ -277,8 +293,8 @@ class TestCheckpointIO:
             assert np.array_equal(st.running_mean, other.running_mean)
             assert np.array_equal(st.running_var, other.running_var)
         assert loaded.opt_step == quick_checkpoint.opt_step
-        assert np.array_equal(loaded.opt_m["t1.tx.w0"],
-                              quick_checkpoint.opt_m["t1.tx.w0"])
+        assert np.array_equal(loaded.opt_m, quick_checkpoint.opt_m)
+        assert np.array_equal(loaded.opt_v, quick_checkpoint.opt_v)
 
     def test_history_csv_alongside(self, quick_checkpoint, tmp_path):
         path = tmp_path / "d.ckpt"
@@ -330,10 +346,8 @@ class TestCheckpointIO:
         assert loaded.rng_state == quick_checkpoint.rng_state
 
 
-def rewrite_checkpoint(blob, fault):
-    """The checkpoint container `blob` with one header entry or tensor spoiled."""
-    import json
-    import struct
+def split_checkpoint(blob):
+    """(header, {name: tensor bytes}) of a checkpoint container."""
     start = len(training.CHECKPOINT_MAGIC) + 4
     (header_len,) = struct.unpack("<Q", blob[start:start + 8])
     header = json.loads(blob[start + 8:start + 8 + header_len])
@@ -343,6 +357,19 @@ def rewrite_checkpoint(blob, fault):
         count = int(np.prod(spec["shape"]))
         arrays[spec["name"]] = blob[offset:offset + 8 * count]
         offset += 8 * count
+    return header, arrays
+
+
+def pack_checkpoint(header, payload):
+    """A checkpoint container of a header (any JSON value) and raw tensor bytes."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return training.CHECKPOINT_MAGIC + struct.pack("<I", training.CHECKPOINT_VERSION) \
+        + struct.pack("<Q", len(text)) + text + payload
+
+
+def rewrite_checkpoint(blob, fault):
+    """The checkpoint container `blob` with one header entry or tensor spoiled."""
+    header, arrays = split_checkpoint(blob)
     if fault == "missing_opt_step":
         del header["opt_step"]
     elif fault == "non_integer_shape":
@@ -358,9 +385,76 @@ def rewrite_checkpoint(blob, fault):
         else:
             header["tensors"].remove(spec)
             del arrays[spec["name"]]
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return blob[:start] + struct.pack("<Q", len(text)) + text \
-        + b"".join(arrays[s["name"]] for s in header["tensors"])
+    return pack_checkpoint(header, b"".join(arrays[s["name"]] for s in header["tensors"]))
+
+
+# header edits that once escaped the loader as TypeError / ConfigError, or
+# (opt_step) loaded silently
+HEADER_FAULTS = {
+    "header_is_list": lambda h: [],
+    "tensors_is_number": lambda h: {**h, "tensors": 5},
+    "tensor_spec_is_string": lambda h: {**h, "tensors": ["t1.tx.w0"] + h["tensors"][1:]},
+    "history_rows_are_numbers": lambda h: {**h, "history": [1, 2]},
+    "config_has_unknown_key": lambda h: {**h, "config": {**h["config"], "bogus": 1}},
+    "opt_step_is_string": lambda h: {**h, "opt_step": "x"},
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(quick_checkpoint, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.ckpt"
+    training.save_checkpoint(quick_checkpoint, path)
+    return path
+
+
+@pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+def test_malformed_header_is_checkpoint_error(checkpoint_file, tmp_path, fault):
+    blob = checkpoint_file.read_bytes()
+    header, arrays = split_checkpoint(blob)
+    path = tmp_path / "h.ckpt"
+    path.write_bytes(pack_checkpoint(HEADER_FAULTS[fault](header),
+                                     b"".join(arrays.values())))
+    with pytest.raises(training.CheckpointError):
+        training.load_checkpoint(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=6)
+
+
+@st.composite
+def damaged_checkpoints(draw, blob):
+    """`blob` truncated at a byte, or with one header value replaced by any
+    JSON, or one header key deleted or added."""
+    kind = draw(st.sampled_from(["truncate", "replace", "delete", "add"]))
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    header, arrays = split_checkpoint(blob)
+    if kind == "add":
+        header[draw(st.text().filter(lambda k: k not in header))] = draw(JSON_VALUES)
+    else:
+        key = draw(st.sampled_from(sorted(header)))
+        if kind == "replace":
+            header[key] = draw(JSON_VALUES)
+        else:
+            del header[key]
+    return pack_checkpoint(header, b"".join(arrays.values()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_is_checkpoint_error(checkpoint_file, data):
+    damaged = data.draw(damaged_checkpoints(checkpoint_file.read_bytes()))
+    path = checkpoint_file.with_name("damaged.ckpt")
+    path.write_bytes(damaged)
+    try:
+        training.load_checkpoint(path)
+    except training.CheckpointError:
+        pass
 
 
 def test_smoothed_trailing_mean():

@@ -1,0 +1,83 @@
+"""Digests of simfd's reproducible outputs, to show that a change moved none.
+
+Prints one JSON object of sha256 digests:
+
+- the `train_base` checkpoint container and history CSV for `mini`
+  (120 epochs x its 3 restarts) and `reference` (30 epochs);
+- the `monte_carlo_eval` rows of the mini checkpoint over 2 realizations,
+  and a `rerun_row` replay of its last row;
+- the `simfd gradcheck --config mini` output line;
+- every CSV of `simfd physics-dump --config mini`, once with zero phases and
+  once with the mini checkpoint's phases and realization seed 3.
+
+Run it against two trees and diff the output:
+
+    PYTHONPATH=<tree>/src python tools/fingerprint.py
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from simfd import cli, evaluation, training
+from simfd.config import miniature_config, reference_config
+
+
+def sha(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def rows_digest(rows):
+    return sha(json.dumps([dataclasses.astuple(r) for r in rows]))
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"simfd {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def main():
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, config, epochs in (("mini", miniature_config(), 120),
+                                     ("reference", reference_config(), 30)):
+            ck = training.train_base(config, epochs=epochs)
+            path = tmp / f"{name}.ckpt"
+            training.save_checkpoint(ck, path)
+            digests[f"train_base.{name}.ckpt"] = sha(path.read_bytes())
+            digests[f"train_base.{name}.history.csv"] = sha(
+                Path(f"{path}.history.csv").read_bytes())
+
+        base = training.load_checkpoint(tmp / "mini.ckpt")
+        config = dataclasses.replace(base.config, evaluation=dataclasses.replace(
+            base.config.evaluation, monte_carlo=2))
+        rows = evaluation.monte_carlo_eval(base, config).rows
+        digests["monte_carlo_eval.mini.rows"] = rows_digest(rows)
+        digests["rerun_row.mini.last"] = rows_digest(
+            [evaluation.rerun_row(base, rows[-1], config)])
+
+        digests["gradcheck.mini"] = sha(cli_stdout(["gradcheck", "--config", "mini"]))
+
+        for tag, extra in (("zero", []),
+                           ("ckpt", ["--checkpoint", str(tmp / "mini.ckpt"),
+                                     "--realization-seed", "3"])):
+            out = tmp / f"dump-{tag}"
+            cli_stdout(["physics-dump", "--config", "mini", "--out", str(out)] + extra)
+            for csv in sorted(out.glob("*.csv")):
+                digests[f"physics_dump.{tag}.{csv.name}"] = sha(csv.read_bytes())
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
