@@ -361,41 +361,31 @@ def softmax(a, axis=-1):
 # batch normalization
 # ---------------------------------------------------------------------------
 
-class BatchNormState:
-    """Running statistics for one batchnorm layer (per-feature)."""
-
-    def __init__(self, width, momentum=0.9, eps=1e-5):
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
-        self.momentum = momentum
-        self.eps = eps
-
-    def copy(self):
-        out = BatchNormState(len(self.running_mean), self.momentum, self.eps)
-        out.running_mean = self.running_mean.copy()
-        out.running_var = self.running_var.copy()
-        return out
+# running statistics decay as stat = BN_MOMENTUM * stat + (1 - BN_MOMENTUM) * batch
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 
 
-def batchnorm(x, gamma, beta, state, training):
+def batchnorm(x, gamma, beta, running, training):
     """Per-feature batch normalization over axis 0.
 
-    Training mode normalizes with batch statistics (batch >= 2 required) and
-    updates the running statistics in `state`; eval mode is the affine map
-    through the stored running statistics.
+    `running` is the (mean, var) pair of running-statistic arrays. Training
+    mode normalizes with batch statistics (batch >= 2 required) and updates
+    both arrays in place; eval mode is the affine map through them.
     """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
+    running_mean, running_var = running
     if training:
         n = x.data.shape[0]
         if n < 2:
             raise GraphError("batchnorm training mode requires batch >= 2")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mu) * inv_std
-        m = state.momentum
-        state.running_mean = m * state.running_mean + (1.0 - m) * mu
-        state.running_var = m * state.running_var + (1.0 - m) * var
+        m = BN_MOMENTUM
+        running_mean[...] = m * running_mean + (1.0 - m) * mu
+        running_var[...] = m * running_var + (1.0 - m) * var
 
         def bw(out):
             dxhat = out.grad * gamma.data
@@ -409,8 +399,8 @@ def batchnorm(x, gamma, beta, state, training):
         return _result(gamma.data * xhat + beta.data, (x, gamma, beta), bw,
                        op="batchnorm")
 
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    xhat = (x.data - state.running_mean) * inv_std
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
+    xhat = (x.data - running_mean) * inv_std
 
     def bw(out):
         if gamma.requires_grad:

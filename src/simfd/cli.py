@@ -204,13 +204,26 @@ def cmd_gradcheck(args):
     return 0 if err < 1e-5 else 1
 
 
+def _stack_shapes(term):
+    """(layers, units) of a terminal's TX and RX stacks."""
+    return (term.tx_layers, term.tx_units), (term.rx_layers, term.rx_units)
+
+
 def cmd_physics_dump(args):
     config = resolve_config(args.config)
     geom = config.geometry
     out = _out_dir(args)
     params = None
     if args.checkpoint:
-        params = training.load_checkpoint(args.checkpoint).params
+        ck = training.load_checkpoint(args.checkpoint)
+        for q in (1, 2):
+            have, want = (_stack_shapes(c.geometry.terminal(q)) for c in (ck.config, config))
+            if have != want:
+                raise emnn.ArchitectureError(
+                    f"checkpoint {args.checkpoint}: terminal {q} has (layers, units) "
+                    f"tx {have[0]}, rx {have[1]}, but --config has tx {want[0]}, "
+                    f"rx {want[1]}")
+        params = ck.params
     for q in (1, 2):
         term = geom.terminal(q)
         if params is not None:
@@ -303,8 +316,7 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (emnn.ArchitectureError, training.CheckpointError,
-            training.TrainingDiverged, ValueError) as exc:
+    except (emnn.ArchitectureError, training.CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -138,7 +138,7 @@ def param_table(arch, trainable_power=False):
     `decay` marks the weight matrices, the only tensors under weight decay.
     `init` is "xavier" (uniform, see xavier_limit), "phase" (uniform in
     [0, 2 pi)) or a constant fill. Each `rx_bn{i}.gamma` row also names the
-    running statistics of its batchnorm layer.
+    running statistics of its batchnorm layer (see ParamStore).
     """
     rows = []
     for q in (1, 2):
@@ -165,16 +165,20 @@ def param_table(arch, trainable_power=False):
 
 
 class ParamStore:
-    """Every trainable as a view into one flat float64 buffer, plus the
-    batchnorm running statistics.
+    """All of one run's state, laid out by its table.
 
-    The buffer holds the decayed tensors first, in table order, then the
-    rest, so weight decay covers its prefix `flat[:decayed]`. Optimizer
-    moments use the same layout (`views`). `tensors` keeps table order,
-    which is the checkpoint's.
+    - `flat`: every trainable, the decayed tensors first in table order,
+      then the rest, so weight decay covers its prefix `flat[:decayed]`;
+      `tensors` are views into it, in table order.
+    - `stats`: the batchnorm running means and variances, one (mean, var)
+      pair per `rx_bn{i}.gamma` row, in table order; `running` maps each
+      layer `t{q}.rx_bn{i}` to its pair of views.
+    - `m`, `v`: AdamW's moments in `flat`'s layout; `step`: its step count.
+
+    `copy` copies all of it; `named_arrays` is the checkpoint's view of it.
     """
 
-    def __init__(self, table, flat=None, states=None):
+    def __init__(self, table, flat=None, stats=None, m=None, v=None, step=0):
         self.table = table
         order = [row for row in table if row[2]] + [row for row in table if not row[2]]
         self.decayed = sum(math.prod(shape) for _, shape, decay, _ in table if decay)
@@ -183,18 +187,29 @@ class ParamStore:
             self._spans[name] = slice(offset, offset + math.prod(shape))
             offset += math.prod(shape)
         self.flat = np.zeros(offset) if flat is None else flat
+        self.m = np.zeros(offset) if m is None else m
+        self.v = np.zeros(offset) if v is None else v
+        self.step = step
         self.tensors = {name: ag.Tensor(view, requires_grad=True, name=name)
                         for name, view in self.views(self.flat).items()}
         self._order = [self.tensors[name] for name in self._spans]
         self._phases = {(q, stack): [t for name, t in self.tensors.items()
                                      if name.startswith(f"t{q}.{stack}")]
                         for q in (1, 2) for stack in ("theta", "xi")}
-        self.states = states if states is not None else {
-            name.removesuffix(".gamma"): ag.BatchNormState(shape[0])
-            for name, shape, _, _ in table if name.endswith(".gamma")}
+        bns = [(name.removesuffix(".gamma"), shape[0])
+               for name, shape, _, _ in table if name.endswith(".gamma")]
+        self.stats = np.zeros(2 * sum(w for _, w in bns)) if stats is None else stats
+        self.running, offset = {}, 0
+        for bn, w in bns:
+            self.running[bn] = (self.stats[offset:offset + w],
+                                self.stats[offset + w:offset + 2 * w])
+            offset += 2 * w
+        if stats is None:
+            for _, var in self.running.values():
+                var[...] = 1.0
 
     def views(self, buffer):
-        """{name: view} of a buffer in this store's layout, in table order."""
+        """{name: view} of a buffer in `flat`'s layout, in table order."""
         return {name: buffer[self._spans[name]].reshape(shape)
                 for name, shape, _, _ in self.table}
 
@@ -213,11 +228,22 @@ class ParamStore:
     def named_tensors(self):
         return self.tensors
 
-    def named_states(self):
-        return self.states
-
     def trainables(self):
         return list(self.tensors.values())
+
+    def named_arrays(self):
+        """{name: view} of the whole run state in checkpoint file order: the
+        trainables in table order, each batchnorm layer's running mean and
+        var, then the `opt.m.` / `opt.v.` moment pairs sorted by name."""
+        arrays = self.views(self.flat)
+        for bn, (mean, var) in self.running.items():
+            arrays[f"{bn}.running_mean"] = mean
+            arrays[f"{bn}.running_var"] = var
+        m, v = self.views(self.m), self.views(self.v)
+        for name in sorted(m):
+            arrays[f"opt.m.{name}"] = m[name]
+            arrays[f"opt.v.{name}"] = v[name]
+        return arrays
 
     def flat_grad(self):
         """Every tensor's gradient in buffer layout; zeros where none arrived."""
@@ -225,8 +251,8 @@ class ParamStore:
                                else np.zeros(t.size) for t in self._order])
 
     def copy(self):
-        return ParamStore(self.table, self.flat.copy(),
-                          {name: st.copy() for name, st in self.states.items()})
+        return ParamStore(self.table, self.flat.copy(), self.stats.copy(),
+                          self.m.copy(), self.v.copy(), self.step)
 
 
 def init_params(arch, rng, trainable_power=False):
@@ -342,7 +368,7 @@ def rx_dnn_forward(y, params, q, training):
     for i in range(3):
         bn = f"t{q}.rx_bn{i}"
         h = ag.batchnorm(h, params[bn + ".gamma"], params[bn + ".beta"],
-                         params.states[bn], training)
+                         params.running[bn], training)
         if i < 2:
             h = ag.relu(ag.add(ag.matmul(h, params[f"t{q}.rx.w{i}"]),
                                params[f"t{q}.rx.b{i}"]))

@@ -213,7 +213,7 @@ def run_sweep(kind, grid, base_config, master_seed=None):
             base = training.train_base(config)
             point = monte_carlo_eval(base, config, master_seed=master_seed)
             report.extend(point.rows)
-        except (training.TrainingDiverged, emnn.ArchitectureError):
+        except emnn.ArchitectureError:
             for power in config.evaluation.power_sweep_dbm:
                 report.add(BerRow(config.label, float(power), -1, -1, 0, 0,
                                   float("nan")))

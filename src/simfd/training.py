@@ -67,43 +67,29 @@ def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
 class AdamW:
     """AdamW over a ParamStore, one vectorized update per step.
 
-    Steps the store's flat buffer in place, with flat first and second
-    moments `m` and `v` in the same layout. Weight decay covers the
-    buffer's decayed prefix (the weight matrices); phase vectors, biases and
-    batchnorm parameters are excluded from it.
+    Steps the store's flat buffer, its moments `m` and `v` and its step count
+    in place. Weight decay covers the buffer's decayed prefix (the weight
+    matrices); phase vectors, biases and batchnorm parameters are excluded
+    from it. A non-finite gradient anywhere raises TrainingDiverged before
+    any of the store moves.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
+    def __init__(self, params, weight_decay=1e-4):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
-        self.step_count = 0
-        self.m = np.zeros_like(params.flat)
-        self.v = np.zeros_like(params.flat)
         decayed = params.decayed
         self._spans = ((slice(0, decayed), weight_decay), (slice(decayed, None), 0.0))
 
     def step(self, lr):
-        self.step_count += 1
-        flat, grad = self.params.flat, self.params.flat_grad()
-        try:
-            for span, wd in self._spans:
-                adamw_step(flat[span], grad[span], self.m[span], self.v[span],
-                           self.step_count, lr, self.beta1, self.beta2, self.eps, wd)
-        except TrainingDiverged as exc:
-            name = next(name for name, t in self.params.named_tensors().items()
+        params = self.params
+        grad = params.flat_grad()
+        if not np.isfinite(grad).all():
+            name = next(name for name, t in params.named_tensors().items()
                         if t.grad is not None and not np.isfinite(t.grad).all())
-            raise TrainingDiverged(f"{exc} in {name}") from exc
-
-    def state_arrays(self):
-        return self.m.copy(), self.v.copy()
-
-    def load_state(self, m, v, step_count):
-        if m.shape != self.m.shape or v.shape != self.v.shape:
-            raise CheckpointError("optimizer state does not match the parameters")
-        self.m[...] = m
-        self.v[...] = v
-        self.step_count = int(step_count)
+            raise TrainingDiverged(f"non-finite gradient in {name}")
+        params.step += 1
+        for span, wd in self._spans:
+            adamw_step(params.flat[span], grad[span], params.m[span], params.v[span],
+                       params.step, lr, weight_decay=wd)
 
 
 def lr_schedule(epoch, train_config):
@@ -140,54 +126,36 @@ def sample_batch(rng, config):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+@dataclass
 class Checkpoint:
-    """Snapshot of a training run: config, params, optimizer, rng, history.
+    """Snapshot of a training run: config, run state, rng, history.
 
-    `opt_m` and `opt_v` are the optimizer's flat moments, in the layout of
-    `params.flat`.
+    `params` is the whole run state (emnn.ParamStore): the trainables, the
+    batchnorm running statistics and the optimizer's moments and step count.
     """
 
-    def __init__(self, config, params, opt_m, opt_v, opt_step, rng_state,
-                 history, epoch, diverged=False):
-        self.config = config
-        self.params = params
-        self.opt_m = opt_m
-        self.opt_v = opt_v
-        self.opt_step = opt_step
-        self.rng_state = rng_state
-        self.history = history          # list of (epoch, loss, lr)
-        self.epoch = epoch
-        self.diverged = diverged
+    config: object
+    params: object
+    rng_state: dict
+    history: list           # (epoch, loss, lr) rows
+    epoch: int
+    diverged: bool = False
 
     def final_loss(self):
         return self.history[-1][1] if self.history else float("nan")
 
 
-def _checkpoint_arrays(ck):
-    """Named arrays in file order: the trainables in table order, the
-    batchnorm statistics, then the optimizer moments sorted by name."""
-    arrays = {name: t.data for name, t in ck.params.named_tensors().items()}
-    for key, st in ck.params.named_states().items():
-        arrays[f"{key}.running_mean"] = st.running_mean
-        arrays[f"{key}.running_var"] = st.running_var
-    opt_m, opt_v = ck.params.views(ck.opt_m), ck.params.views(ck.opt_v)
-    for key in sorted(opt_m):
-        arrays[f"opt.m.{key}"] = opt_m[key]
-        arrays[f"opt.v.{key}"] = opt_v[key]
-    return arrays
-
-
 def save_checkpoint(ck, path):
     """Write the checkpoint container plus `<stem>.history.csv` alongside."""
     path = str(path)
-    arrays = _checkpoint_arrays(ck)
+    arrays = ck.params.named_arrays()
     header = {
         "version": CHECKPOINT_VERSION,
         "config": ck.config.to_dict(),
         "config_digest": ck.config.digest(),
         "rng_state": ck.rng_state,
         "epoch": ck.epoch,
-        "opt_step": ck.opt_step,
+        "opt_step": ck.params.step,
         "diverged": ck.diverged,
         "history": [[int(e), float(l), float(r)] for e, l, r in ck.history],
         "tensors": [{"name": n, "shape": list(arrays[n].shape)} for n in arrays],
@@ -285,17 +253,13 @@ def _assemble_checkpoint(header, arrays):
     config = config_from_dict(header["config"])
     if config.digest() != header["config_digest"]:
         raise CheckpointError("config digest mismatch")
-    params = emnn.ParamStore(emnn.param_table(emnn.build(config), config.trainable_power))
-    opt_m, opt_v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-    for prefix, buffer in (("", params.flat), ("opt.m.", opt_m), ("opt.v.", opt_v)):
-        for name, view in params.views(buffer).items():
-            view[...] = take(prefix + name, view.shape)
-    for key, st in params.named_states().items():
-        st.running_mean = take(f"{key}.running_mean", st.running_mean.shape)
-        st.running_var = take(f"{key}.running_var", st.running_var.shape)
-    return Checkpoint(config, params, opt_m, opt_v, header["opt_step"],
-                      header["rng_state"], [tuple(row) for row in header["history"]],
-                      header["epoch"], header["diverged"])
+    params = emnn.ParamStore(emnn.param_table(emnn.build(config), config.trainable_power),
+                             step=header["opt_step"])
+    for name, view in params.named_arrays().items():
+        view[...] = take(name, view.shape)
+    return Checkpoint(config, params, header["rng_state"],
+                      [tuple(row) for row in header["history"]], header["epoch"],
+                      header["diverged"])
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +270,9 @@ def _fit(model, opt, rng, epochs, lr_at, realization_at):
     """The epoch loop of base training and fine-tuning.
 
     Per epoch: the lr, a channel realization, one fresh batch, forward,
-    BCE, backward, AdamW step. A non-finite loss stops the loop. Returns
-    the checkpoint of the last good state.
+    BCE, backward, AdamW step. A non-finite loss or gradient stops the loop
+    and marks the run diverged. Returns the checkpoint of the last good
+    state.
     """
     history = []
     diverged = False
@@ -323,11 +288,14 @@ def _fit(model, opt, rng, epochs, lr_at, realization_at):
             diverged = True
             break
         ag.backward(loss)
-        opt.step(lr)
+        try:
+            opt.step(lr)
+        except TrainingDiverged:
+            diverged = True
+            break
         history.append((epoch, value, lr))
-    opt_m, opt_v = opt.state_arrays()
-    return Checkpoint(model.config, model.params, opt_m, opt_v, opt.step_count,
-                      rng.bit_generator.state, history, len(history), diverged)
+    return Checkpoint(model.config, model.params, rng.bit_generator.state, history,
+                      len(history), diverged)
 
 
 def _train_run(config, source, seed, epochs, frozen=None):
@@ -348,8 +316,8 @@ def train_base(config, seed=None, epochs=None):
     innovation around the experiment's persistent component is redrawn,
     shadowing included), forward, BCE, backward, AdamW step. With restarts
     configured, independent runs are trained and the one with the lowest
-    final smoothed training loss is kept. A non-finite loss aborts the run
-    and returns the last good state.
+    final smoothed training loss is kept. A non-finite loss or gradient
+    aborts the run and returns the last good state.
     """
     config.validate()
     if seed is not None and seed != config.training.seed:
@@ -376,7 +344,8 @@ def finetune(base, realization, rng, epochs=None):
 
     All parameters stay trainable and batchnorm running statistics keep
     updating; only the channel layer is pinned to `realization`. The
-    optimizer continues from the base checkpoint's moments.
+    optimizer continues from the base run's moments and step count, which
+    the copied store carries.
     """
     config = base.config
     tc = config.training
@@ -387,7 +356,6 @@ def finetune(base, realization, rng, epochs=None):
     except emnn.ArchitectureError as exc:
         raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
     opt = AdamW(model.params, weight_decay=tc.weight_decay)
-    opt.load_state(base.opt_m, base.opt_v, base.opt_step)
     return _fit(model, opt, rng, epochs, lambda epoch: tc.finetune_learning_rate,
                 lambda: realization)
 

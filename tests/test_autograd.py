@@ -320,28 +320,40 @@ def test_complex_gradients_match_finite_differences():
 
 def test_batchnorm_train_then_eval_affine():
     rng = np.random.default_rng(8)
-    state = ag.BatchNormState(4)
+    running = (np.zeros(4), np.ones(4))
     gamma = ag.Tensor(rng.uniform(0.5, 2.0, 4), requires_grad=True)
     beta = ag.Tensor(rng.standard_normal(4), requires_grad=True)
     for _ in range(20):
         ag.batchnorm(ag.Tensor(rng.standard_normal((16, 4)) * 3.0 + 1.0),
-                     gamma, beta, state, training=True)
+                     gamma, beta, running, training=True)
     # eval mode is affine: f(a) + f(b) == f(a + b) + f(0)
     a = rng.standard_normal((5, 4))
     b = rng.standard_normal((5, 4))
 
     def f(arr):
-        return ag.batchnorm(ag.Tensor(arr), gamma, beta, state, training=False).data
+        return ag.batchnorm(ag.Tensor(arr), gamma, beta, running, training=False).data
 
     assert np.allclose(f(a) + f(b), f(a + b) + f(np.zeros((5, 4))), atol=1e-12)
 
 
+def test_batchnorm_updates_running_statistics_in_place():
+    # the running pair may be views into a larger buffer, as in a ParamStore
+    rng = np.random.default_rng(10)
+    buffer = np.concatenate([np.zeros(3), np.ones(3)])
+    x = rng.standard_normal((8, 3))
+    ag.batchnorm(ag.Tensor(x), ag.Tensor(np.ones(3)), ag.Tensor(np.zeros(3)),
+                 (buffer[:3], buffer[3:]), training=True)
+    m = ag.BN_MOMENTUM
+    assert np.array_equal(buffer[:3], (1.0 - m) * x.mean(axis=0))
+    assert np.array_equal(buffer[3:], m + (1.0 - m) * x.var(axis=0))
+
+
 def test_batchnorm_train_requires_batch():
-    state = ag.BatchNormState(3)
     g = ag.Tensor(np.ones(3))
     b = ag.Tensor(np.zeros(3))
     with pytest.raises(ag.GraphError):
-        ag.batchnorm(ag.Tensor(np.ones((1, 3))), g, b, state, training=True)
+        ag.batchnorm(ag.Tensor(np.ones((1, 3))), g, b, (np.zeros(3), np.ones(3)),
+                     training=True)
 
 
 def test_forward_is_deterministic():
@@ -358,10 +370,9 @@ def _random_graph_loss(rng, params):
     x, w1, w2, theta, gamma, beta = params
     h = ag.relu(ag.add(ag.matmul(x, w1), 0.1))
     h = ag.to_pair(ag.phase_shift(ag.to_complex(h), theta))
-    state = ag.BatchNormState(h.data.shape[1])
-    state.running_mean = rng.standard_normal(h.data.shape[1]) * 0.1
-    state.running_var = rng.uniform(0.5, 1.5, h.data.shape[1])
-    h = ag.batchnorm(h, gamma, beta, state, training=True)
+    running = (rng.standard_normal(h.data.shape[1]) * 0.1,
+               rng.uniform(0.5, 1.5, h.data.shape[1]))
+    h = ag.batchnorm(h, gamma, beta, running, training=True)
     h = ag.sigmoid(ag.matmul(h, w2))
     target = (rng.random((x.data.shape[0], w2.data.shape[1])) > 0.5).astype(float)
     hit = ag.hadamard(target, ag.log(h))

@@ -75,10 +75,12 @@ def init_digest(cfg):
     for name, t in params.named_tensors().items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(t.data, "<f8").tobytes())
-    for name, st in params.named_states().items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(st.running_mean, "<f8").tobytes())
-        h.update(np.ascontiguousarray(st.running_var, "<f8").tobytes())
+    for name, _, _, _ in params.table:
+        if name.endswith(".gamma"):
+            bn = name.removesuffix(".gamma")
+            h.update(bn.encode())
+            for stat in params.running[bn]:
+                h.update(np.ascontiguousarray(stat, "<f8").tobytes())
     tensors = params.trainables()
     return h.hexdigest(), len(tensors), sum(t.size for t in tensors)
 
@@ -116,12 +118,16 @@ class TestParamStore:
 
     def test_copy_is_independent(self, mini_model):
         params = mini_model.params
-        before = params.flat.copy()
+        before = [params.flat.copy(), params.stats.copy(), params.m.copy(),
+                  params.v.copy()]
+        step = params.step
         clone = params.copy()
-        clone.flat[:] = 0.0
-        clone.states["t1.rx_bn0"].running_mean[:] = 1.0
-        assert np.array_equal(params.flat, before)
-        assert not params.states["t1.rx_bn0"].running_mean.any()
+        for buffer in (clone.flat, clone.stats, clone.m, clone.v):
+            buffer[:] = -1.0
+        clone.step += 1
+        for buffer, then in zip((params.flat, params.stats, params.m, params.v), before):
+            assert np.array_equal(buffer, then)
+        assert params.step == step
         assert all(np.shares_memory(t.data, clone.flat) for t in clone.trainables())
 
 

@@ -163,20 +163,22 @@ class TestMonteCarlo:
         assert again.ber == row.ber
 
     def test_diverged_rows_replay_as_nan(self):
-        cfg = miniature_config()
-        cfg = replace(
-            cfg,
-            training=replace(cfg.training, epochs=20, restarts=1,
-                             finetune_epochs=30, finetune_lr=1e200),
-            evaluation=replace(cfg.evaluation, monte_carlo=2, test_scale=200),
-        ).validate()
-        base = training.train_base(cfg)
-        rows = ev.monte_carlo_eval(base).rows
-        assert rows and all(np.isnan(r.ber) for r in rows)
-        for row in rows:
-            again = ev.rerun_row(base, row)
-            assert all(a == b or a != a and b != b
-                       for a, b in zip(astuple(again), astuple(row)))
+        # at 1e200 the loss overflows; at 1e10 a gradient does first
+        for finetune_lr in (1e200, 1e10):
+            cfg = miniature_config()
+            cfg = replace(
+                cfg,
+                training=replace(cfg.training, epochs=20, restarts=1,
+                                 finetune_epochs=30, finetune_lr=finetune_lr),
+                evaluation=replace(cfg.evaluation, monte_carlo=2, test_scale=200),
+            ).validate()
+            base = training.train_base(cfg)
+            rows = ev.monte_carlo_eval(base).rows
+            assert rows and all(np.isnan(r.ber) for r in rows)
+            for row in rows:
+                again = ev.rerun_row(base, row)
+                assert all(a == b or a != a and b != b
+                           for a, b in zip(astuple(again), astuple(row)))
 
 
 class TestReportFormats:
@@ -349,18 +351,22 @@ class TestCli:
 
     def test_physics_dump_rejects_phases_of_another_depth(self, quick_config,
                                                          tmp_path, capsys):
-        # one layer's phases do not fit mini's two-layer stacks
-        from simfd.config import with_layers
-        shallow = with_layers(quick_config, 1)
-        ck = training.train_base(replace(shallow, training=replace(
-            shallow.training, epochs=2)))
-        path = tmp_path / "shallow.ckpt"
-        training.save_checkpoint(ck, path)
-        code = cli.main(["physics-dump", "--config", "mini", "--checkpoint", str(path),
-                         "--out", str(tmp_path / "dump")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        # phases of one layer, or of a 3x3 unit grid, do not fit mini's
+        # two-layer 4x4 stacks
+        from simfd.config import with_layers, with_unit_grid
+        for other, have in ((with_layers(quick_config, 1), "(1, 16)"),
+                            (with_unit_grid(quick_config, (3, 3)), "(2, 9)")):
+            ck = training.train_base(replace(other, training=replace(
+                other.training, epochs=2)))
+            path = tmp_path / "other.ckpt"
+            training.save_checkpoint(ck, path)
+            code = cli.main(["physics-dump", "--config", "mini", "--checkpoint",
+                             str(path), "--out", str(tmp_path / "dump")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert str(path) in err and "terminal 1" in err
+            assert f"tx {have}" in err and "tx (2, 16)" in err
 
     def test_sweep_smoke(self, quick_config, tmp_path):
         cfg = replace(quick_config,

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,8 @@ class TestAdamW:
             for i, p in enumerate(tensors):
                 p.grad = None if i == 1 else rng.standard_normal(p.shape)
             opt.step(lr)
-            m, v = params.views(opt.m), params.views(opt.v)
+            assert params.step == step
+            m, v = params.views(params.m), params.views(params.v)
             for p, d, (data, ref_m, ref_v) in zip(tensors, decay, reference):
                 grad = np.zeros(p.shape) if p.grad is None else p.grad
                 training.adamw_step(data, grad, ref_m, ref_v, step, lr,
@@ -168,12 +170,17 @@ class TestAdamW:
         assert all(np.shares_memory(p.data, params.flat) for p in tensors)
 
     def test_non_finite_gradient_names_the_tensor(self):
+        # the decayed tensor a precedes b in the buffer; neither may move
         params = store(("a", np.ones(2), True), ("b", np.ones(3), False))
-        params["a"].grad = np.zeros(2)
+        params["a"].grad = np.ones(2)
         params["b"].grad = np.array([0.0, np.inf, 0.0])
         opt = training.AdamW(params)
+        before = [params.flat.copy(), params.m.copy(), params.v.copy()]
         with pytest.raises(training.TrainingDiverged, match="non-finite gradient in b"):
             opt.step(0.1)
+        for buffer, then in zip((params.flat, params.m, params.v), before):
+            assert np.array_equal(buffer, then)
+        assert params.step == 0
 
 
 class TestLrSchedule:
@@ -236,6 +243,15 @@ class TestTrainBase:
         epoch, loss, lr = quick_checkpoint.history[0]
         assert epoch == 0 and np.isfinite(loss) and lr > 0
 
+    def test_non_finite_gradient_ends_the_run_as_diverged(self):
+        # the loss stays finite at lr 1e10 while a gradient overflows
+        cfg = miniature_config()
+        cfg = replace(cfg, training=replace(cfg.training, learning_rate=1e10))
+        ck = training.train_base(cfg, epochs=40)
+        assert ck.diverged
+        assert ck.epoch == len(ck.history) == ck.params.step
+        assert np.isfinite(ck.params.flat).all()
+
 
 class TestFinetune:
     def test_zero_epochs_leaves_params_unchanged(self, quick_checkpoint,
@@ -286,15 +302,12 @@ class TestCheckpointIO:
         path = tmp_path / "c.ckpt"
         training.save_checkpoint(quick_checkpoint, path)
         loaded = training.load_checkpoint(path)
-        for name, t in quick_checkpoint.params.named_tensors().items():
-            assert np.array_equal(t.data, loaded.params.named_tensors()[name].data)
-        for key, st in quick_checkpoint.params.named_states().items():
-            other = loaded.params.named_states()[key]
-            assert np.array_equal(st.running_mean, other.running_mean)
-            assert np.array_equal(st.running_var, other.running_var)
-        assert loaded.opt_step == quick_checkpoint.opt_step
-        assert np.array_equal(loaded.opt_m, quick_checkpoint.opt_m)
-        assert np.array_equal(loaded.opt_v, quick_checkpoint.opt_v)
+        want = quick_checkpoint.params.named_arrays()
+        got = loaded.params.named_arrays()
+        assert list(got) == list(want)
+        for name, array in want.items():
+            assert np.array_equal(array, got[name])
+        assert loaded.params.step == quick_checkpoint.params.step
 
     def test_history_csv_alongside(self, quick_checkpoint, tmp_path):
         path = tmp_path / "d.ckpt"
@@ -344,6 +357,39 @@ class TestCheckpointIO:
         training.save_checkpoint(quick_checkpoint, path)
         loaded = training.load_checkpoint(path)
         assert loaded.rng_state == quick_checkpoint.rng_state
+
+
+# train_base of miniature_config() with restarts=1 and epochs=2, written
+# before the batchnorm statistics and optimizer moments moved into the
+# parameter store; it pins the container's byte layout
+GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / "mini_e2.ckpt"
+
+
+class TestGoldenCheckpoint:
+    def test_resaves_byte_identically(self, tmp_path):
+        path = tmp_path / "again.ckpt"
+        training.save_checkpoint(training.load_checkpoint(GOLDEN_CHECKPOINT), path)
+        assert path.read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+
+    def test_store_holds_the_files_arrays(self):
+        header, raw = split_checkpoint(GOLDEN_CHECKPOINT.read_bytes())
+        params = training.load_checkpoint(GOLDEN_CHECKPOINT).params
+        m, v = params.views(params.m), params.views(params.v)
+
+        def in_store(name):
+            if name.startswith(("opt.m.", "opt.v.")):
+                return (m if name[4] == "m" else v)[name[6:]]
+            bn, found, stat = name.partition(".running_")
+            if found:
+                return params.running[bn][stat == "var"]
+            return params[name].data
+
+        # trainables and both moments of each, two statistics per batchnorm layer
+        layers = sum(name.endswith(".gamma") for name, *_ in params.table)
+        assert len(raw) == 3 * len(params.table) + 2 * layers
+        for name, data in raw.items():
+            assert np.array_equal(in_store(name).ravel(), np.frombuffer(data, "<f8"))
+        assert params.step == header["opt_step"] == 2
 
 
 def split_checkpoint(blob):

@@ -4,6 +4,9 @@ Prints one JSON object of sha256 digests:
 
 - the `train_base` checkpoint container and history CSV for `mini`
   (120 epochs x its 3 restarts) and `reference` (30 epochs);
+- the checkpoint that `finetune` writes for the mini base on realization
+  `instantaneous(3)` with rng seed 3, which carries the optimizer moments
+  handed over from the base;
 - the `monte_carlo_eval` rows of the mini checkpoint over 2 realizations,
   and a `rerun_row` replay of its last row;
 - the `simfd gradcheck --config mini` output line;
@@ -24,7 +27,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from simfd import cli, evaluation, training
+from simfd.channel import ChannelSource
 from simfd.config import miniature_config, reference_config
 
 
@@ -59,6 +65,10 @@ def main():
                 Path(f"{path}.history.csv").read_bytes())
 
         base = training.load_checkpoint(tmp / "mini.ckpt")
+        tuned = training.finetune(base, ChannelSource(base.config).instantaneous(3),
+                                  np.random.default_rng(3))
+        training.save_checkpoint(tuned, tmp / "finetune.ckpt")
+        digests["finetune.mini.ckpt"] = sha((tmp / "finetune.ckpt").read_bytes())
         config = dataclasses.replace(base.config, evaluation=dataclasses.replace(
             base.config.evaluation, monte_carlo=2))
         rows = evaluation.monte_carlo_eval(base, config).rows
