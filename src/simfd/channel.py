@@ -99,7 +99,9 @@ def psd_sqrt(matrix):
     if np.abs(matrix - matrix.T).max() > 1e-10:
         raise ChannelError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(matrix)
-    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    # a C-ordered right operand: with vecs.T itself, the product's last bits
+    # depend on the BLAS thread count for some sizes (9 x 9 among them)
+    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ np.ascontiguousarray(vecs.T)
     return (root + root.T) / 2.0
 
 

@@ -227,8 +227,8 @@ def cmd_physics_dump(args):
     for q in (1, 2):
         term = geom.terminal(q)
         if params is not None:
-            theta = [wf.wrap_phase(t.data) for t in params.phases(q, "theta")]
-            xi = [wf.wrap_phase(t.data) for t in params.phases(q, "xi")]
+            theta = [wf.wrap_phase(t.data) for t in params.layers(q, "theta")]
+            xi = [wf.wrap_phase(t.data) for t in params.layers(q, "xi")]
         else:
             theta = [np.zeros(term.tx_units) for _ in range(term.tx_layers)]
             xi = [np.zeros(term.rx_units) for _ in range(term.rx_layers)]

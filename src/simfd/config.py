@@ -112,6 +112,9 @@ class EvalConfig:
             raise ConfigError("test scale must be >= 2 (power control)")
         if len(self.power_sweep_dbm) == 0:
             raise ConfigError("power sweep must be non-empty")
+        if len(set(self.power_sweep_dbm)) != len(self.power_sweep_dbm):
+            # a row is replayed from its power, so each power names one row
+            raise ConfigError(f"power sweep repeats a power: {self.power_sweep_dbm}")
         if self.eval_batch < 2:
             raise ConfigError("eval batch must be >= 2")
 

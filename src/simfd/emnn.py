@@ -45,7 +45,8 @@ def _per_terminal(count):
 
 @dataclass(frozen=True)
 class EmnnArchitecture:
-    """Layer-width schedule of the full network for one configuration."""
+    """Per-terminal counts and layer widths of the network for one
+    configuration."""
 
     n_bits: tuple
     terminals: tuple     # (TerminalLayout, TerminalLayout)
@@ -60,55 +61,19 @@ class EmnnArchitecture:
     tx_channel = _per_terminal(lambda t: math.prod(t.channel_grids[0]))
     rx_channel = _per_terminal(lambda t: math.prod(t.channel_grids[1]))
 
-    def other(self, q):
-        return 2 if q == 1 else 1
-
     def tx_widths(self, q):
         """Output widths of the three TX-DNN linear layers at terminal q."""
         n = self.n_bits[q - 1]
         return (n, n, 2 * self.tx_antennas[q - 1])
 
-    def sim_tx_width(self, q):
-        return 2 * self.tx_units[q - 1]
-
-    def sim_rx_width(self, q):
-        return 2 * self.rx_units[q - 1]
-
-    def channel_width(self, q):
-        """Paired width of the field arriving at terminal q's receive side."""
-        return 2 * self.rx_channel[q - 1]
-
     def rx_input(self, q):
         return 2 * self.rx_antennas[q - 1]
 
-    def decoded_bits(self, q):
-        """Terminal q decodes the other terminal's stream."""
-        return self.n_bits[self.other(q) - 1]
-
     def rx_widths(self, q):
-        n = self.decoded_bits(q)
+        """Output widths of the two RX-DNN linear layers at terminal q, which
+        decodes the other terminal's stream."""
+        n = self.n_bits[2 - q]
         return (n, n)
-
-    def layer_table(self, q):
-        """(module, layer, width) rows of terminal q's physical pipeline."""
-        rows = [("tx-dnn", "input", self.n_bits[q - 1])]
-        for i, w in enumerate(self.tx_widths(q), 1):
-            rows.append(("tx-dnn", f"linear_relu_{i}", w))
-        rows.append(("tx-dnn", "power_control", 2 * self.tx_antennas[q - 1]))
-        for layer in range(1, self.tx_layers[q - 1] + 1):
-            rows.append(("tx-stack", f"transmission_{layer}", self.sim_tx_width(q)))
-            rows.append(("tx-stack", f"metasurface_{layer}", self.sim_tx_width(q)))
-        rows.append(("channel", "channel", self.channel_width(q)))
-        for layer in range(self.rx_layers[q - 1], 0, -1):
-            rows.append(("rx-stack", f"metasurface_{layer}", self.sim_rx_width(q)))
-            width = self.rx_input(q) if layer == 1 else self.sim_rx_width(q)
-            rows.append(("rx-stack", f"transmission_{layer}", width))
-        rows.append(("rx-dnn", "batchnorm_1", self.rx_input(q)))
-        n = self.decoded_bits(q)
-        rows += [("rx-dnn", "linear_relu_1", n), ("rx-dnn", "batchnorm_2", n),
-                 ("rx-dnn", "linear_relu_2", n), ("rx-dnn", "batchnorm_3", n),
-                 ("rx-dnn", "sigmoid", n), ("rx-dnn", "output", n)]
-        return rows
 
 
 def build(config):
@@ -176,6 +141,8 @@ class ParamStore:
     - `m`, `v`: AdamW's moments in `flat`'s layout; `step`: its step count.
 
     `copy` copies all of it; `named_arrays` is the checkpoint's view of it.
+    `layers(q, kind)` groups terminal q's rows of the table, once, into the
+    layers the forward walks.
     """
 
     def __init__(self, table, flat=None, stats=None, m=None, v=None, step=0):
@@ -193,9 +160,6 @@ class ParamStore:
         self.tensors = {name: ag.Tensor(view, requires_grad=True, name=name)
                         for name, view in self.views(self.flat).items()}
         self._order = [self.tensors[name] for name in self._spans]
-        self._phases = {(q, stack): [t for name, t in self.tensors.items()
-                                     if name.startswith(f"t{q}.{stack}")]
-                        for q in (1, 2) for stack in ("theta", "xi")}
         bns = [(name.removesuffix(".gamma"), shape[0])
                for name, shape, _, _ in table if name.endswith(".gamma")]
         self.stats = np.zeros(2 * sum(w for _, w in bns)) if stats is None else stats
@@ -207,6 +171,21 @@ class ParamStore:
         if stats is None:
             for _, var in self.running.values():
                 var[...] = 1.0
+
+        def rows(group, prefix):
+            return [t for name, t in group.items() if name.startswith(prefix)]
+        self._layers = {}
+        for q in (1, 2):
+            tx, rx, bn = (rows(self.tensors, f"t{q}.{kind}")
+                          for kind in ("tx.", "rx.", "rx_bn"))
+            self._layers.update({
+                (q, "tx"): list(zip(tx[::2], tx[1::2], strict=True)),
+                (q, "theta"): rows(self.tensors, f"t{q}.theta"),
+                (q, "xi"): rows(self.tensors, f"t{q}.xi"),
+                (q, "rx"): list(zip(rx[::2], rx[1::2], strict=True)),
+                (q, "bn"): list(zip(bn[::2], bn[1::2], rows(self.running, f"t{q}."),
+                                    strict=True)),
+            })
 
     def views(self, buffer):
         """{name: view} of a buffer in `flat`'s layout, in table order."""
@@ -220,10 +199,12 @@ class ParamStore:
     def power_logits(self):
         return self.tensors.get("power.logits")
 
-    def phases(self, q, stack):
-        """Terminal q's phase vectors of stack "theta" (TX) or "xi" (RX),
-        layer 1 first."""
-        return self._phases[q, stack]
+    def layers(self, q, kind):
+        """Terminal q's layers of one kind, in table order: the dense layers
+        of the TX-DNN ("tx") or RX-DNN ("rx") as (w, b), the phase vectors of
+        the TX ("theta") or RX ("xi") stack from layer 1, and the RX-DNN's
+        batchnorm layers ("bn") as (gamma, beta, (running mean, running var))."""
+        return self._layers[q, kind]
 
     def named_tensors(self):
         return self.tensors
@@ -276,11 +257,11 @@ def init_params(arch, rng, trainable_power=False):
 # ---------------------------------------------------------------------------
 
 def tx_dnn_forward(bits, params, q):
-    """Terminal q's three linear+relu layers mapping a bit block to the raw
+    """Terminal q's linear+relu layers mapping a bit block to the raw
     antenna pairs."""
     x = bits if isinstance(bits, ag.Tensor) else ag.Tensor(np.asarray(bits, dtype=float))
-    for i in range(3):
-        x = ag.relu(ag.add(ag.matmul(x, params[f"t{q}.tx.w{i}"]), params[f"t{q}.tx.b{i}"]))
+    for w, b in params.layers(q, "tx"):
+        x = ag.relu(ag.add(ag.matmul(x, w), b))
     return x
 
 
@@ -363,15 +344,12 @@ def channel_layer(t1, t2, realization):
 
 
 def rx_dnn_forward(y, params, q, training):
-    """Terminal q's batchnorm / linear+relu alternation closed by a sigmoid."""
-    h = y
-    for i in range(3):
-        bn = f"t{q}.rx_bn{i}"
-        h = ag.batchnorm(h, params[bn + ".gamma"], params[bn + ".beta"],
-                         params.running[bn], training)
-        if i < 2:
-            h = ag.relu(ag.add(ag.matmul(h, params[f"t{q}.rx.w{i}"]),
-                               params[f"t{q}.rx.b{i}"]))
+    """Terminal q's batchnorm / linear+relu alternation closed by a sigmoid:
+    one batchnorm on the input and one after each linear+relu layer."""
+    first, *rest = params.layers(q, "bn")
+    h = ag.batchnorm(y, *first, training)
+    for (w, b), bn in zip(params.layers(q, "rx"), rest, strict=True):
+        h = ag.batchnorm(ag.relu(ag.add(ag.matmul(h, w), b)), *bn, training)
     return ag.sigmoid(h)
 
 
@@ -439,14 +417,14 @@ class Emnn:
             joint.append(ag.to_complex(power_control(raw, p_q)))
             eye = np.eye(self.arch.tx_antennas[q - 1], dtype=complex)
             sent.append(tx_sim_forward(eye, self.tx_factors[q - 1],
-                                       self.params.phases(q, "theta")))
+                                       self.params.layers(q, "theta")))
         joint = ag.concat(joint, axis=1)
         fields = channel_layer(sent[0], sent[1], realization)
 
         received = []
         for q, f_q in zip((1, 2), fields):
             h_q = rx_sim_forward(f_q, self.rx_factors[q - 1],
-                                 self.params.phases(q, "xi"))
+                                 self.params.layers(q, "xi"))
             r_q = ag.to_pair(ag.matmul(joint, h_q))
             if noise_override is not None:
                 n_q = noise_override[q - 1]
@@ -468,7 +446,7 @@ def export_phase_table(params):
     lines = ["# terminal stack layer unit phase_rad"]
     for q in (1, 2):
         for side, stack in (("tx", "theta"), ("rx", "xi")):
-            for layer, phase in enumerate(params.phases(q, stack), 1):
+            for layer, phase in enumerate(params.layers(q, stack), 1):
                 for unit, value in enumerate(wf.wrap_phase(phase.data)):
                     lines.append(f"{q} {side} {layer} {unit} {value:.12f}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ history is additionally emitted as CSV next to the checkpoint.
 
 import io
 import json
-import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -158,7 +157,7 @@ def save_checkpoint(ck, path):
         "opt_step": ck.params.step,
         "diverged": ck.diverged,
         "history": [[int(e), float(l), float(r)] for e, l, r in ck.history],
-        "tensors": [{"name": n, "shape": list(arrays[n].shape)} for n in arrays],
+        "tensors": _tensor_list(arrays),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
@@ -173,6 +172,11 @@ def save_checkpoint(ck, path):
         fh.write("epoch,loss,lr\n")
         for e, loss, lr in ck.history:
             fh.write(f"{int(e)},{loss!r},{lr!r}\n")
+
+
+def _tensor_list(arrays):
+    """The header's `tensors` entry: name and shape of each array, in file order."""
+    return [{"name": name, "shape": list(array.shape)} for name, array in arrays.items()]
 
 
 def _read_exact(fh, count, what):
@@ -198,19 +202,7 @@ def load_checkpoint(path):
         header = json.loads(_read_exact(fh, header_len, "header").decode())
         if not isinstance(header, dict):
             raise CheckpointError("checkpoint header is not a JSON object")
-        arrays = {}
-        for spec in header["tensors"]:
-            shape = spec["shape"]
-            if not isinstance(shape, list) or any(
-                    isinstance(n, bool) or not isinstance(n, int) or n < 0
-                    for n in shape):
-                raise CheckpointError(f"tensor {spec['name']} has shape {shape!r}, "
-                                      "not a list of non-negative integers")
-            raw = _read_exact(fh, 8 * math.prod(shape), "tensor data")
-            arrays[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after the tensor data")
-        return _assemble_checkpoint(header, arrays)
+        return _assemble_checkpoint(header, fh.read())
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -238,14 +230,12 @@ _HEADER_CHECKS = {
 }
 
 
-def _assemble_checkpoint(header, arrays):
-    def take(name, shape):
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing tensor {name}")
-        if arrays[name].shape != shape:
-            raise CheckpointError(f"tensor {name} shape {arrays[name].shape} != {shape}")
-        return arrays[name]
+def _assemble_checkpoint(header, payload):
+    """The checkpoint of a header and its tensor data.
 
+    The run state is laid out from the header's config; the header's tensor
+    list must equal that layout and the payload must be exactly its size.
+    """
     header = {"diverged": False, **header}
     for key, valid in _HEADER_CHECKS.items():
         if not valid(header[key]):
@@ -255,8 +245,19 @@ def _assemble_checkpoint(header, arrays):
         raise CheckpointError("config digest mismatch")
     params = emnn.ParamStore(emnn.param_table(emnn.build(config), config.trainable_power),
                              step=header["opt_step"])
-    for name, view in params.named_arrays().items():
-        view[...] = take(name, view.shape)
+    arrays = params.named_arrays()
+    # compared as JSON text, so that neither 4.0 nor true stands in for 4
+    if (json.dumps(header["tensors"], sort_keys=True)
+            != json.dumps(_tensor_list(arrays), sort_keys=True)):
+        raise CheckpointError("tensor list does not match the layout of the "
+                              "checkpoint's config")
+    size = 8 * sum(view.size for view in arrays.values())
+    if len(payload) != size:
+        raise CheckpointError(f"tensor data is {len(payload)} bytes, the layout needs {size}")
+    data, offset = np.frombuffer(payload, "<f8"), 0
+    for view in arrays.values():
+        view[...] = data[offset:offset + view.size].reshape(view.shape)
+        offset += view.size
     return Checkpoint(config, params, header["rng_state"],
                       [tuple(row) for row in header["history"]], header["epoch"],
                       header["diverged"])
@@ -272,7 +273,8 @@ def _fit(model, opt, rng, epochs, lr_at, realization_at):
     Per epoch: the lr, a channel realization, one fresh batch, forward,
     BCE, backward, AdamW step. A non-finite loss or gradient stops the loop
     and marks the run diverged. Returns the checkpoint of the last good
-    state.
+    state: the diverging step's forward has already moved the batchnorm
+    running statistics, so they are put back.
     """
     history = []
     diverged = False
@@ -280,18 +282,20 @@ def _fit(model, opt, rng, epochs, lr_at, realization_at):
         lr = lr_at(epoch)
         realization = realization_at()
         block = sample_batch(rng, model.config)
+        stats = model.params.stats.copy()
         soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
                              training=True)
         loss = bce_loss(block.bits, soft)
         value = float(loss.data)
-        if not np.isfinite(value):
-            diverged = True
-            break
-        ag.backward(loss)
-        try:
-            opt.step(lr)
-        except TrainingDiverged:
-            diverged = True
+        diverged = not np.isfinite(value)
+        if not diverged:
+            ag.backward(loss)
+            try:
+                opt.step(lr)
+            except TrainingDiverged:
+                diverged = True
+        if diverged:
+            model.params.stats[...] = stats
             break
         history.append((epoch, value, lr))
     return Checkpoint(model.config, model.params, rng.bit_generator.state, history,

@@ -118,13 +118,13 @@ def batch_first_forward(model, bits, power_dbm, realization, training, noise):
         block = bits[:, :n1] if q == 1 else bits[:, n1:]
         x = emnn.power_control(emnn.tx_dnn_forward(block, model.params, q), p_q)
         tx_pairs = [planes(m) for m in model.tx_factors[q - 1]]
-        sent.append(tx_sim_forward(x, tx_pairs, model.params.phases(q, "theta")))
+        sent.append(tx_sim_forward(x, tx_pairs, model.params.layers(q, "theta")))
     fields = channel_layer(sent[0], sent[1], link_pairs)
     received = []
     for q, f_q in zip((1, 2), fields):
         # the model holds the outward factors; the RX stage maps inward
         rx_pairs = [planes(m.T) for m in model.rx_factors[q - 1]]
-        r_q = rx_sim_forward(f_q, rx_pairs, model.params.phases(q, "xi"))
+        r_q = rx_sim_forward(f_q, rx_pairs, model.params.layers(q, "xi"))
         r_q = ag.add(r_q, complex_to_pair_batch(noise[q - 1]))
         received.append(emnn.rx_dnn_forward(ag.scale(r_q, model.rx_scale),
                                             model.params, q, training))

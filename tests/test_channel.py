@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +65,26 @@ class TestPsdSqrt:
     def test_asymmetric_rejected(self):
         with pytest.raises(ch.ChannelError):
             ch.psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_reference_roots_do_not_depend_on_thread_count(self):
+        # the reference preset's 9 x 9 channel-facing grids; a product of the
+        # eigenvectors with their transpose view gave other last bits on 2
+        # OpenBLAS threads than on 1
+        script = ("import hashlib; import simfd.channel as ch; "
+                  "from simfd.config import reference_config; "
+                  "bundle = ch.correlation_bundle(reference_config().geometry); "
+                  "print(hashlib.sha256(b''.join(m.tx_sqrt.tobytes() + m.rx_sqrt.tobytes() "
+                  "for m in bundle.values())).hexdigest())")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OMP_NUM_THREADS": threads,
+                   "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            digests.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                          capture_output=True, text=True,
+                                          check=True).stdout)
+        assert digests[0] == digests[1]
 
 
 class TestIidRayleigh:

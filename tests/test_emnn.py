@@ -25,43 +25,65 @@ def mini_realization(mini):
     return ch.ChannelSource(mini).instantaneous(7)
 
 
+def table_shapes(arch, q):
+    """{name without the terminal prefix: shape} of terminal q's table rows."""
+    return {name.split(".", 1)[1]: shape
+            for name, shape, _, _ in emnn.param_table(arch) if name.startswith(f"t{q}.")}
+
+
 class TestBuild:
     def test_reference_widths_terminal_one(self):
         arch = emnn.build(reference_config())
+        shapes = table_shapes(arch, 1)
         # stream 1: 12 bits, 16 TX antennas, 81-unit layers
-        assert arch.tx_widths(1) == (12, 12, 32)
-        assert arch.sim_tx_width(1) == 162
-        assert arch.channel_width(1) == 162
-        assert arch.rx_input(1) == 32
+        assert [shapes[f"tx.w{i}"] for i in range(3)] == [(12, 12), (12, 12), (12, 32)]
+        assert shapes["theta1"] == (81,)
+        assert arch.rx_channel[0] == 81
+        assert shapes["rx.w0"][0] == 32
         # stream 1 is decoded at terminal 2: 12-wide head there
-        assert arch.decoded_bits(2) == 12
         assert arch.rx_widths(2) == (12, 12)
+        assert table_shapes(arch, 2)["rx.w1"] == (12, 12)
 
     def test_reference_widths_terminal_two(self):
         arch = emnn.build(reference_config())
-        assert arch.tx_widths(2) == (8, 8, 18)
+        shapes = table_shapes(arch, 2)
+        assert [shapes[f"tx.b{i}"] for i in range(3)] == [(8,), (8,), (18,)]
         # stream 2 is decoded at terminal 1
-        assert arch.decoded_bits(1) == 8
         assert arch.rx_widths(1) == (8, 8)
+        assert table_shapes(arch, 1)["rx_bn2.gamma"] == (8,)
 
     def test_no_sim_baseline_degeneracy(self):
         from simfd.config import with_layers
         arch = emnn.build(with_layers(reference_config(), 0))
         assert arch.tx_layers == (0, 0)
         # with no stacks the channel lands on the antennas directly
-        assert arch.channel_width(1) == 32
-        assert arch.channel_width(2) == 18
-        table = arch.layer_table(1)
-        assert not any(module == "tx-stack" for module, _, _ in table)
+        assert arch.rx_channel == arch.rx_antennas == (16, 9)
+        assert not any(".theta" in name or ".xi" in name
+                       for name, *_ in emnn.param_table(arch))
 
-    def test_layer_table_matches_miniature(self, mini):
+    def test_param_table_matches_miniature(self, mini):
         arch = emnn.build(mini)
-        table = arch.layer_table(1)
-        widths = [w for _, _, w in table]
-        assert widths[0] == 4                       # bit input
-        assert arch.tx_widths(1) == (4, 4, 8)
-        assert arch.sim_tx_width(1) == 32
-        assert ("rx-dnn", "sigmoid", 4) in table
+        shapes = table_shapes(arch, 1)
+        assert shapes["tx.w0"] == (4, 4)                 # bit input
+        assert [shapes[f"tx.b{i}"] for i in range(3)] == [(4,), (4,), (8,)]
+        assert shapes["theta1"] == (16,)
+        assert shapes["rx_bn2.beta"] == (4,)              # the sigmoid's width
+
+    def test_layers_group_the_tables_tensors(self, mini):
+        params = emnn.init_params(emnn.build(mini), np.random.default_rng(0))
+        grouped = []
+        for q in (1, 2):
+            for w, b in params.layers(q, "tx") + params.layers(q, "rx"):
+                assert w.name.replace(".w", ".b") == b.name
+                grouped += [w, b]
+            for gamma, beta, (mean, var) in params.layers(q, "bn"):
+                bn = gamma.name.removesuffix(".gamma")
+                assert beta.name == bn + ".beta"
+                assert params.running[bn][0] is mean and params.running[bn][1] is var
+                grouped += [gamma, beta]
+            grouped += params.layers(q, "theta") + params.layers(q, "xi")
+        # the very Tensor objects trainables() returns, each exactly once
+        assert sorted(map(id, grouped)) == sorted(map(id, params.trainables()))
 
 
 def init_digest(cfg):

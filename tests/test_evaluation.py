@@ -267,8 +267,8 @@ class TestRunSweep:
     def test_units_sweep_follows_width_rules(self, quick_config):
         configs = ev.sweep_configs("units", [(4, 4), (6, 6)], quick_config)
         archs = [emnn.build(c) for c in configs]
-        assert archs[0].sim_tx_width(1) == 2 * 16
-        assert archs[1].sim_tx_width(1) == 2 * 36
+        assert archs[0].tx_units[0] == 16
+        assert archs[1].tx_units[0] == 36
 
     def test_unknown_kind(self, quick_config):
         with pytest.raises(ValueError):
@@ -521,11 +521,13 @@ class TestConfigFile:
         (("training", "power_alpha"), 0),
         (("training", "power_beta"), -2),
         (("system", "light_speed"), -3e8),
+        (("evaluation", "power_sweep_dbm"), [20, 20]),
     ], ids=["spacing-str", "section-int", "bool-str", "bits-str", "grid-str",
             "range-3", "epochs-float", "epochs-bool", "lr-nan", "float-overflow",
             "zero-decay-interval", "misspelt-key", "terminal-unknown-key",
             "unknown-section", "negative-finetune-epochs", "negative-weight-decay",
-            "zero-power-alpha", "negative-power-beta", "negative-light-speed"])
+            "zero-power-alpha", "negative-power-beta", "negative-light-speed",
+            "duplicate-sweep-power"])
     def test_malformed_value_is_config_error(self, path, value):
         doc = miniature_config().to_dict()
         # explicit spacings: a bad light speed must fail on its own, not

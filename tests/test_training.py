@@ -91,7 +91,7 @@ class TestXavierInit:
     def test_phase_vectors_uniform_range(self, quick_config):
         params = emnn.init_params(emnn.build(quick_config),
                                   np.random.default_rng(6))
-        phases = [params.phases(q, stack) for q in (1, 2) for stack in ("theta", "xi")]
+        phases = [params.layers(q, stack) for q in (1, 2) for stack in ("theta", "xi")]
         assert [len(p) for p in phases] == [2, 2, 2, 2]
         for th in sum(phases, []):
             assert np.all((th.data >= 0) & (th.data < 2 * np.pi))
@@ -272,6 +272,23 @@ class TestFinetune:
         for name, t in a.params.named_tensors().items():
             assert np.array_equal(t.data, b.params.named_tensors()[name].data)
 
+    @pytest.mark.parametrize("finetune_lr", [1e200, 1e10])
+    def test_diverged_run_returns_the_last_good_state(self, finetune_lr):
+        # at 1e200 the loss overflows in epoch 1; at 1e10 a gradient does in
+        # epoch 17, after the forward has moved the batchnorm statistics
+        cfg = miniature_config()
+        cfg = replace(cfg, training=replace(cfg.training, epochs=20, restarts=1,
+                                            finetune_lr=finetune_lr))
+        base = training.train_base(cfg)
+        real = ChannelSource(cfg).instantaneous(3)
+        ck = training.finetune(base, real, np.random.default_rng(3))
+        assert ck.diverged and ck.epoch > 0
+        good = training.finetune(base, real, np.random.default_rng(3), epochs=ck.epoch)
+        assert not good.diverged
+        for buffer in ("flat", "stats", "m", "v"):
+            assert np.array_equal(getattr(ck.params, buffer), getattr(good.params, buffer))
+        assert ck.params.step == good.params.step
+
     def test_mismatched_realization_rejected(self, quick_checkpoint):
         from simfd.config import with_unit_grid
         other = with_unit_grid(miniature_config(), (3, 3))
@@ -334,7 +351,7 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("fault", [
         "truncated_version", "truncated_header_length", "missing_running_var",
         "missing_opt_moment", "missing_opt_step", "wrong_shape_running_mean",
-        "non_integer_shape", "trailing_bytes"])
+        "non_integer_shape", "trailing_bytes", "extra_tensor", "reordered_tensors"])
     def test_malformed_file_is_checkpoint_error(self, quick_checkpoint, tmp_path, fault):
         path = tmp_path / "g.ckpt"
         training.save_checkpoint(quick_checkpoint, path)
@@ -420,6 +437,14 @@ def rewrite_checkpoint(blob, fault):
         del header["opt_step"]
     elif fault == "non_integer_shape":
         header["tensors"][0]["shape"] = ["a"]
+    elif fault == "extra_tensor":
+        header["tensors"].append({"name": "t1.tx.w3", "shape": [2]})
+        arrays["t1.tx.w3"] = bytes(16)
+    elif fault == "reordered_tensors":
+        # two same-shape biases swapped, with their data: every name and
+        # byte count still matches
+        specs = header["tensors"]
+        specs[1], specs[3] = specs[3], specs[1]
     else:
         suffix = {"missing_running_var": ".running_var",
                   "missing_opt_moment": "opt.m.t1.tx.w0",

@@ -16,6 +16,10 @@ Prints one JSON object of sha256 digests:
 Run it against two trees and diff the output:
 
     PYTHONPATH=<tree>/src python tools/fingerprint.py
+
+`tests/data/fingerprint.json` holds this tree's output, and
+`tests/test_fingerprint.py` checks `fingerprint()` against it; a change that
+moves an output on purpose rewrites that file with this script's output.
 """
 
 import contextlib
@@ -51,7 +55,8 @@ def cli_stdout(argv):
     return out.getvalue()
 
 
-def main():
+def fingerprint():
+    """{output name: sha256 hex digest} of every output listed above."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -85,7 +90,11 @@ def main():
             cli_stdout(["physics-dump", "--config", "mini", "--out", str(out)] + extra)
             for csv in sorted(out.glob("*.csv")):
                 digests[f"physics_dump.{tag}.{csv.name}"] = sha(csv.read_bytes())
-    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    return digests
+
+
+def main():
+    json.dump(fingerprint(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
 
