@@ -3,7 +3,7 @@ channel, fine-tune on a frozen realization, and compare against training
 from scratch. Saves the loss curves as CSV (and a PNG when matplotlib is
 available).
 
-Run: python demos/04_train_and_transfer.py        (about a minute)
+Run: python demos/04_train_and_transfer.py        (about 10 seconds)
 """
 
 import csv

@@ -40,7 +40,7 @@ class PathLossParams:
     exponent: float = 3.5
     shadowing_db: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.reference_distance <= 0:
             raise ChannelError("reference distance must be positive")
         if self.distance < self.reference_distance:
@@ -129,7 +129,6 @@ def path_loss_db(params, wavelength, rng=None):
     X is the shadowing term: one N(0, std^2) draw from `rng` when the
     configured std is positive, else 0.
     """
-    params.validate()
     shadow_db = 0.0
     if params.shadowing_db > 0 and rng is not None:
         shadow_db = params.shadowing_db * rng.standard_normal()
@@ -202,27 +201,6 @@ def realize_channels(config, rng):
     return out
 
 
-def mix_realizations(nominal, fresh, coherence, si_coherence):
-    """Quasi-static composition: persistent component plus fresh innovation.
-
-    Per link, G = sqrt(rho) G_nominal + sqrt(1 - rho) G_fresh with rho the
-    cross-link coherence (si_coherence on the self-interference links);
-    unit fading variance is preserved. rho = 0 returns the fresh draw
-    unchanged, rho = 1 pins the link to the persistent component.
-    """
-    for rho in (coherence, si_coherence):
-        if not 0.0 <= rho <= 1.0:
-            raise ChannelError("coherence must lie in [0, 1]")
-    links = {}
-    for key in LINK_ORDER:
-        rho = si_coherence if key[0] == key[1] else coherence
-        links[key] = np.sqrt(rho) * nominal.links[key] \
-            + np.sqrt(1.0 - rho) * fresh.links[key]
-    out = ChannelRealization(links)
-    out.validate()
-    return out
-
-
 class ChannelSource:
     """Channel draws of one experiment, anchored to a persistent component.
 
@@ -234,15 +212,27 @@ class ChannelSource:
     """
 
     def __init__(self, config):
-        config.validate()
         self.config = config
         self.nominal = realize_channels(config, np.random.default_rng(
             derive_seed(config.training.seed, NOMINAL_TAG)))
 
     def _mix(self, fresh):
+        """Quasi-static composition: persistent component plus fresh innovation.
+
+        Per link, G = sqrt(rho) G_nominal + sqrt(1 - rho) G_fresh with rho the
+        cross-link coherence (si_coherence on the self-interference links);
+        unit fading variance is preserved. rho = 0 returns the fresh draw
+        unchanged, rho = 1 pins the link to the persistent component.
+        """
         chan = self.config.channel
-        return mix_realizations(self.nominal, fresh, chan.coherence,
-                                chan.si_coherence)
+        links = {}
+        for key in LINK_ORDER:
+            rho = chan.si_coherence if key[0] == key[1] else chan.coherence
+            links[key] = np.sqrt(rho) * self.nominal.links[key] \
+                + np.sqrt(1.0 - rho) * fresh.links[key]
+        out = ChannelRealization(links)
+        out.validate()
+        return out
 
     def statistical(self, rng):
         """Fresh innovation around the persistent component (redraw per batch)."""

@@ -19,7 +19,7 @@ from . import evaluation as ev
 from . import training
 from . import wavefield as wf
 from .channel import (LINK_ORDER, ChannelSource, correlation_bundle, dbm_to_watt,
-                      draw_noise, realize_channels)
+                      derive_seed, draw_noise, realize_channels)
 from .config import PRESETS, ConfigError, load_config
 
 
@@ -104,6 +104,16 @@ def _out_dir(args):
     return out
 
 
+def _realization(config, args):
+    """(innovation seed, rng, frozen realization) of a run: --realization-seed,
+    else a seed derived from --seed or the config's evaluation seed."""
+    seed = args.seed if args.seed is not None else config.evaluation.seed
+    real_seed = args.realization_seed if args.realization_seed is not None \
+        else derive_seed(seed, 0)
+    return (real_seed, np.random.default_rng(real_seed),
+            ChannelSource(config).instantaneous(real_seed))
+
+
 def cmd_train_base(args):
     config = _apply_scale_flags(resolve_config(args.config), args)
     seed = args.seed if args.seed is not None else config.training.seed
@@ -120,12 +130,7 @@ def cmd_train_base(args):
 
 def cmd_finetune(args):
     base = training.load_checkpoint(args.checkpoint)
-    config = base.config
-    seed = args.seed if args.seed is not None else config.evaluation.seed
-    real_seed = args.realization_seed if args.realization_seed is not None \
-        else ev.derive_seed(seed, 0)
-    rng = np.random.default_rng(real_seed)
-    realization = ChannelSource(config).instantaneous(real_seed)
+    real_seed, rng, realization = _realization(base.config, args)
     ck = training.finetune(base, realization, rng)
     out = _out_dir(args)
     path = out / "finetune.ckpt"
@@ -142,11 +147,7 @@ def cmd_evaluate(args):
     config = ck.config if args.config is None else resolve_config(args.config)
     config = _apply_scale_flags(config, args)
     model = emnn.Emnn(ck.config, params=ck.params)
-    seed = args.seed if args.seed is not None else config.evaluation.seed
-    real_seed = args.realization_seed if args.realization_seed is not None \
-        else ev.derive_seed(seed, 0)
-    rng = np.random.default_rng(real_seed)
-    realization = ChannelSource(config).instantaneous(real_seed)
+    real_seed, rng, realization = _realization(config, args)
     powers = [args.power] if args.power is not None \
         else list(config.evaluation.power_sweep_dbm)
     report = ev.BerReport()
@@ -313,7 +314,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (emnn.ArchitectureError, training.CheckpointError, ValueError) as exc:

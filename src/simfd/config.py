@@ -1,4 +1,6 @@
-"""Experiment configuration: one validated record mirroring the config file.
+"""Experiment configuration: every record mirroring the config file, each
+checked for range when it is built (a ConfigError), so a record that exists
+is valid and no caller checks it again.
 
 The JSON config document has sections system / sim / channel / training /
 evaluation; every default reproduces the reference simulation settings at
@@ -13,11 +15,104 @@ import numbers
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
-from .wavefield import GeometryConfig, GeometryError, TerminalLayout
+from .wavefield import C_LIGHT
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
+
+
+@dataclass(frozen=True)
+class TerminalLayout:
+    """Grid sizes and layer counts for one terminal; 0 layers = no stack."""
+
+    tx_antenna_grid: tuple  # (nx, ny)
+    rx_antenna_grid: tuple
+    tx_unit_grid: tuple
+    rx_unit_grid: tuple
+    tx_layers: int
+    rx_layers: int
+
+    def __post_init__(self):
+        for grid in (self.tx_antenna_grid, self.rx_antenna_grid,
+                     self.tx_unit_grid, self.rx_unit_grid):
+            if len(grid) != 2 or min(grid) < 1:
+                raise ConfigError(f"grid dimensions must be >= 1, got {grid}")
+        if self.tx_layers < 0 or self.rx_layers < 0:
+            raise ConfigError("layer counts must be >= 0")
+
+    @property
+    def tx_antennas(self):
+        return self.tx_antenna_grid[0] * self.tx_antenna_grid[1]
+
+    @property
+    def rx_antennas(self):
+        return self.rx_antenna_grid[0] * self.rx_antenna_grid[1]
+
+    @property
+    def tx_units(self):
+        return self.tx_unit_grid[0] * self.tx_unit_grid[1]
+
+    @property
+    def rx_units(self):
+        return self.rx_unit_grid[0] * self.rx_unit_grid[1]
+
+    @property
+    def tx_stack(self):
+        """(antenna grid, unit grid, layer count) of the TX stack."""
+        return self.tx_antenna_grid, self.tx_unit_grid, self.tx_layers
+
+    @property
+    def rx_stack(self):
+        return self.rx_antenna_grid, self.rx_unit_grid, self.rx_layers
+
+    @property
+    def channel_grids(self):
+        """(TX, RX) grids facing the channel: each stack's unit grid, or its
+        antenna grid when the stack has no layers."""
+        return tuple(units if layers > 0 else antennas
+                     for antennas, units, layers in (self.tx_stack, self.rx_stack))
+
+
+@dataclass(frozen=True)
+class GeometryConfig:
+    """Frequency, spacings and per-terminal layouts of both stacks.
+
+    unit_spacing / layer_spacing of None default to half a wavelength.
+    """
+
+    frequency: float
+    terminals: tuple  # (TerminalLayout, TerminalLayout)
+    light_speed: float = C_LIGHT
+    unit_spacing: float = None
+    layer_spacing: float = None
+
+    def __post_init__(self):
+        if self.frequency <= 0 or self.light_speed <= 0:
+            raise ConfigError("frequency and light speed must be positive")
+        if self.spacing <= 0 or self.layer_gap <= 0:
+            raise ConfigError("spacings must be positive")
+        if len(self.terminals) != 2:
+            raise ConfigError("exactly two terminals expected")
+
+    @property
+    def wavelength(self):
+        return self.light_speed / self.frequency
+
+    @property
+    def spacing(self):
+        return self.unit_spacing if self.unit_spacing is not None else self.wavelength / 2.0
+
+    @property
+    def layer_gap(self):
+        return self.layer_spacing if self.layer_spacing is not None else self.wavelength / 2.0
+
+    @property
+    def unit_area(self):
+        return self.spacing ** 2
+
+    def terminal(self, q):
+        return self.terminals[q - 1]
 
 
 @dataclass(frozen=True)
@@ -33,7 +128,7 @@ class ChannelConfig:
     coherence: float = 0.9             # quasi-static cross-link persistence
     si_coherence: float = 1.0          # SI geometry is the device's own
 
-    def validate(self):
+    def __post_init__(self):
         if self.reference_distance <= 0:
             raise ConfigError("reference distance must be positive")
         if self.distance < self.reference_distance:
@@ -74,7 +169,7 @@ class TrainConfig:
     def finetune_learning_rate(self):
         return self.finetune_lr if self.finetune_lr is not None else self.learning_rate / 10.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -105,7 +200,7 @@ class EvalConfig:
     eval_batch: int = 2048
     seed: int = 1234
 
-    def validate(self):
+    def __post_init__(self):
         if self.monte_carlo < 1:
             raise ConfigError("monte carlo count must be >= 1")
         if self.test_scale < 2:
@@ -121,7 +216,7 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Everything one experiment needs, in one validated record."""
+    """Everything one experiment needs, in one record."""
 
     n_bits: tuple = (12, 8)
     geometry: GeometryConfig = None
@@ -131,23 +226,15 @@ class SystemConfig:
     trainable_power: bool = False
     label: str = "default"
 
-    @property
-    def total_bits(self):
-        return self.n_bits[0] + self.n_bits[1]
-
-    def validate(self):
+    def __post_init__(self):
         if len(self.n_bits) != 2 or min(self.n_bits) < 1:
             raise ConfigError("two positive per-terminal bit counts expected")
         if self.geometry is None:
             raise ConfigError("geometry section missing")
-        try:
-            self.geometry.validate()
-        except GeometryError as exc:
-            raise ConfigError(str(exc)) from exc
-        self.channel.validate()
-        self.training.validate()
-        self.evaluation.validate()
-        return self
+
+    @property
+    def total_bits(self):
+        return self.n_bits[0] + self.n_bits[1]
 
     def to_dict(self):
         return {section: _write(self, rows) for section, rows in _SCHEMA.items()}
@@ -325,16 +412,15 @@ def _build(owner, values, prefix=""):
 
 
 def config_from_dict(doc):
-    """Validated SystemConfig from a config document; any defect is a ConfigError."""
+    """SystemConfig from a config document; any defect is a ConfigError."""
     _object(doc, _SCHEMA, "config document")
     values = {}
     for section, rows in _SCHEMA.items():
         values.update(_read(doc.get(section, {}), rows, section))
     try:
-        config = _build(SystemConfig, values)
+        return _build(SystemConfig, values)
     except TypeError as exc:
         raise ConfigError(f"a required key is missing: {exc}") from exc
-    return config.validate()
 
 
 def load_config(path):
@@ -362,12 +448,11 @@ def reference_config():
         TerminalLayout((4, 4), (4, 4), (9, 9), (9, 9), 3, 3),
         TerminalLayout((3, 3), (3, 3), (9, 9), (9, 9), 3, 3),
     )
-    cfg = SystemConfig(
+    return SystemConfig(
         n_bits=(12, 8),
         geometry=GeometryConfig(frequency=28e9, terminals=terminals),
         label="reference",
     )
-    return cfg.validate()
 
 
 def miniature_config(seed=1):
@@ -383,7 +468,7 @@ def miniature_config(seed=1):
         TerminalLayout((2, 2), (2, 2), (4, 4), (4, 4), 2, 2),
         TerminalLayout((2, 2), (2, 2), (4, 4), (4, 4), 2, 2),
     )
-    cfg = SystemConfig(
+    return SystemConfig(
         n_bits=(4, 4),
         geometry=GeometryConfig(frequency=28e9, terminals=terminals),
         channel=ChannelConfig(si_isolation_db=60.0, coherence=0.98),
@@ -395,7 +480,6 @@ def miniature_config(seed=1):
                               power_sweep_dbm=(20.0, 25.0, 30.0)),
         label="miniature",
     )
-    return cfg.validate()
 
 
 PRESETS = {
@@ -411,7 +495,7 @@ def with_layers(config, layers):
                       for t in config.geometry.terminals)
     geom = replace(config.geometry, terminals=terminals)
     return replace(config, geometry=geom,
-                   label=f"{config.label}-L{layers}").validate()
+                   label=f"{config.label}-L{layers}")
 
 
 def with_unit_grid(config, grid):
@@ -421,11 +505,11 @@ def with_unit_grid(config, grid):
                       for t in config.geometry.terminals)
     geom = replace(config.geometry, terminals=terminals)
     return replace(config, geometry=geom,
-                   label=f"{config.label}-U{grid[0]}x{grid[1]}").validate()
+                   label=f"{config.label}-U{grid[0]}x{grid[1]}")
 
 
 def with_bits(config, n_bits):
     """Copy of a config with the per-terminal bit counts replaced."""
     n_bits = tuple(int(b) for b in n_bits)
     return replace(config, n_bits=n_bits,
-                   label=f"{config.label}-B{n_bits[0]}+{n_bits[1]}").validate()
+                   label=f"{config.label}-B{n_bits[0]}+{n_bits[1]}")

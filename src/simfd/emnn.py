@@ -77,8 +77,7 @@ class EmnnArchitecture:
 
 
 def build(config):
-    """Derive the architecture for a validated SystemConfig."""
-    config.validate()
+    """Derive the architecture for a SystemConfig."""
     return EmnnArchitecture(tuple(config.n_bits), config.geometry.terminals)
 
 

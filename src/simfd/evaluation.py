@@ -152,8 +152,10 @@ def monte_carlo_eval(base, config=None, master_seed=None):
     Each realization gets a derived seed covering its channel innovation,
     the fine-tune batches, and the evaluation symbols; a diverged fine-tune
     is recorded as failed rows (ber = nan) rather than dropped. The
-    persistent channel component is anchored to the checkpoint's training
-    seed, so rows reproduce from (config, row seed) alone.
+    persistent channel component is anchored to the training seed of
+    `config` (the checkpoint's own config when none is passed), so an
+    override that changes `training.seed` also changes the persistent
+    links; rows reproduce from (config, row seed) alone.
     """
     config = base.config if config is None else config
     ev = config.evaluation

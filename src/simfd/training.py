@@ -323,7 +323,6 @@ def train_base(config, seed=None, epochs=None):
     final smoothed training loss is kept. A non-finite loss or gradient
     aborts the run and returns the last good state.
     """
-    config.validate()
     if seed is not None and seed != config.training.seed:
         config = replace(config, training=replace(config.training, seed=seed))
     tc = config.training

@@ -7,110 +7,13 @@ stack's local frame. All functions here are pure, double precision, and
 deterministic for a fixed geometry.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 C_LIGHT = 299792458.0
 
 
 class GeometryError(ValueError):
-    """Invalid geometry or a singular (coincident-point) configuration."""
-
-
-@dataclass(frozen=True)
-class TerminalLayout:
-    """Grid sizes and layer counts for one terminal; 0 layers = no stack."""
-
-    tx_antenna_grid: tuple  # (nx, ny)
-    rx_antenna_grid: tuple
-    tx_unit_grid: tuple
-    rx_unit_grid: tuple
-    tx_layers: int
-    rx_layers: int
-
-    @property
-    def tx_antennas(self):
-        return self.tx_antenna_grid[0] * self.tx_antenna_grid[1]
-
-    @property
-    def rx_antennas(self):
-        return self.rx_antenna_grid[0] * self.rx_antenna_grid[1]
-
-    @property
-    def tx_units(self):
-        return self.tx_unit_grid[0] * self.tx_unit_grid[1]
-
-    @property
-    def rx_units(self):
-        return self.rx_unit_grid[0] * self.rx_unit_grid[1]
-
-    @property
-    def tx_stack(self):
-        """(antenna grid, unit grid, layer count) of the TX stack."""
-        return self.tx_antenna_grid, self.tx_unit_grid, self.tx_layers
-
-    @property
-    def rx_stack(self):
-        return self.rx_antenna_grid, self.rx_unit_grid, self.rx_layers
-
-    @property
-    def channel_grids(self):
-        """(TX, RX) grids facing the channel: each stack's unit grid, or its
-        antenna grid when the stack has no layers."""
-        return tuple(units if layers > 0 else antennas
-                     for antennas, units, layers in (self.tx_stack, self.rx_stack))
-
-    def validate(self):
-        for grid in (self.tx_antenna_grid, self.rx_antenna_grid,
-                     self.tx_unit_grid, self.rx_unit_grid):
-            if len(grid) != 2 or min(grid) < 1:
-                raise GeometryError(f"grid dimensions must be >= 1, got {grid}")
-        if self.tx_layers < 0 or self.rx_layers < 0:
-            raise GeometryError("layer counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Frequency, spacings and per-terminal layouts of both stacks.
-
-    unit_spacing / layer_spacing of None default to half a wavelength.
-    """
-
-    frequency: float
-    terminals: tuple  # (TerminalLayout, TerminalLayout)
-    light_speed: float = C_LIGHT
-    unit_spacing: float = None
-    layer_spacing: float = None
-
-    @property
-    def wavelength(self):
-        return self.light_speed / self.frequency
-
-    @property
-    def spacing(self):
-        return self.unit_spacing if self.unit_spacing is not None else self.wavelength / 2.0
-
-    @property
-    def layer_gap(self):
-        return self.layer_spacing if self.layer_spacing is not None else self.wavelength / 2.0
-
-    @property
-    def unit_area(self):
-        return self.spacing ** 2
-
-    def terminal(self, q):
-        return self.terminals[q - 1]
-
-    def validate(self):
-        if self.frequency <= 0 or self.light_speed <= 0:
-            raise GeometryError("frequency and light speed must be positive")
-        if self.spacing <= 0 or self.layer_gap <= 0:
-            raise GeometryError("spacings must be positive")
-        if len(self.terminals) != 2:
-            raise GeometryError("exactly two terminals expected")
-        for t in self.terminals:
-            t.validate()
+    """Invalid propagation arguments or coincident points."""
 
 
 def unit_positions(nx, ny, spacing, layer_index=0, layer_spacing=0.0):
@@ -176,7 +79,7 @@ def wrap_phase(phases):
 
 
 # ---------------------------------------------------------------------------
-# builders from a GeometryConfig
+# builders from a config.GeometryConfig
 # ---------------------------------------------------------------------------
 
 def stack_factors(geom, antenna_grid, unit_grid, layers):

@@ -58,7 +58,7 @@ def protocol_arm(kind):
                       training=replace(config.training, seed=seed),
                       evaluation=replace(config.evaluation,
                                          monte_carlo=ARM_REALIZATIONS,
-                                         test_scale=ARM_SYMBOLS)).validate()
+                                         test_scale=ARM_SYMBOLS))
         for row in ev.monte_carlo_eval(training.train_base(cfg)).rows:
             rows[row.power_dbm].append(row.ber)
     return {p: float(np.median(v)) for p, v in rows.items()}
@@ -290,7 +290,7 @@ def test_determinism(mini, tmp_path):
         training=replace(mini.training, epochs=40, restarts=1, batch_size=64,
                          finetune_epochs=5),
         evaluation=replace(mini.evaluation, monte_carlo=2, test_scale=500,
-                           power_sweep_dbm=(30.0,), eval_batch=256)).validate()
+                           power_sweep_dbm=(30.0,), eval_batch=256))
     base = training.train_base(quick)
     rows = ev.monte_carlo_eval(base).rows
     replayed = [ev.rerun_row(base, row) for row in rows]

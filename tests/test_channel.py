@@ -216,17 +216,18 @@ class TestRealizeChannels:
         # identity correlations (2x1 grid at lambda/2), PL forced to 0 dB by
         # putting both terminals at D = D0 = lambda / (4 pi), no shadowing
         from dataclasses import replace
-        from simfd.config import ChannelConfig, SystemConfig
+        from simfd.config import (ChannelConfig, GeometryConfig, SystemConfig,
+                                  TerminalLayout)
         lam = LAM
         d0 = lam / (4 * np.pi)
-        terminals = (wf.TerminalLayout((1, 1), (1, 1), (2, 1), (2, 1), 1, 1),
-                     wf.TerminalLayout((1, 1), (1, 1), (2, 1), (2, 1), 1, 1))
-        geom = wf.GeometryConfig(frequency=F, terminals=terminals)
+        terminals = (TerminalLayout((1, 1), (1, 1), (2, 1), (2, 1), 1, 1),
+                     TerminalLayout((1, 1), (1, 1), (2, 1), (2, 1), 1, 1))
+        geom = GeometryConfig(frequency=F, terminals=terminals)
         cfg = SystemConfig(
             n_bits=(2, 2), geometry=geom,
             channel=ChannelConfig(distance=d0, reference_distance=d0,
                                   shadowing_db=0.0, si_distance=d0,
-                                  si_isolation_db=0.0)).validate()
+                                  si_isolation_db=0.0))
         real = ch.realize_channels(cfg, np.random.default_rng(11))
         # replay the documented draw order with the same stream; a unit gain
         # leaves each link equal to its i.i.d. draw
@@ -239,9 +240,9 @@ class TestRealizeChannels:
         from dataclasses import replace
         cfg = miniature_config()
         iso = replace(cfg, channel=replace(cfg.channel, si_isolation_db=40.0,
-                                           shadowing_db=0.0)).validate()
+                                           shadowing_db=0.0))
         flat = replace(cfg, channel=replace(cfg.channel, si_isolation_db=0.0,
-                                            shadowing_db=0.0)).validate()
+                                            shadowing_db=0.0))
         a = ch.realize_channels(iso, np.random.default_rng(3))
         b = ch.realize_channels(flat, np.random.default_rng(3))
         # same draws in the same order: only the SI links are scaled, by 40 dB
@@ -272,7 +273,7 @@ class TestChannelSource:
         from dataclasses import replace
         cfg = miniature_config()
         cfg0 = replace(cfg, channel=replace(cfg.channel, coherence=0.0,
-                                            si_coherence=0.0)).validate()
+                                            si_coherence=0.0))
         src = ch.ChannelSource(cfg0)
         got = src.instantaneous(99)
         want = ch.realize_channels(cfg0, np.random.default_rng(99))

@@ -220,7 +220,7 @@ class TestPowerControl:
 
     def test_trainable_allocation_sums_to_budget(self, mini):
         from dataclasses import replace
-        cfg = replace(mini, trainable_power=True).validate()
+        cfg = replace(mini, trainable_power=True)
         model = emnn.Emnn(cfg, rng=np.random.default_rng(6))
         model.params.power_logits.data[:] = np.random.default_rng(7).standard_normal(8)
         p1, p2 = emnn.allocate_power(np.full(4, 10.0), model.arch, model.params)
@@ -382,7 +382,7 @@ class TestForwardFull:
         from simfd.config import with_bits
         cfg = with_bits(miniature_config(seed=3), (2, 2))
         cfg = replace(cfg, training=replace(cfg.training, restarts=1,
-                                            power_min_dbm=30.0)).validate()
+                                            power_min_dbm=30.0))
         eye = np.eye(16) * 1e-3
         links = {(1, 1): np.zeros((16, 16), complex),
                  (2, 2): np.zeros((16, 16), complex),
@@ -415,13 +415,13 @@ class TestForwardFull:
 def lopsided_config():
     """Unequal antenna counts and units, L != K, trainable power split."""
     from dataclasses import replace
-    from simfd.wavefield import TerminalLayout
+    from simfd.config import TerminalLayout
     mini = miniature_config()
     terminals = (TerminalLayout((2, 2), (1, 2), (3, 3), (4, 4), 2, 1),
                  TerminalLayout((1, 3), (2, 1), (2, 2), (3, 3), 1, 3))
     geom = replace(mini.geometry, terminals=terminals)
     return replace(mini, geometry=geom, n_bits=(5, 3),
-                   trainable_power=True).validate()
+                   trainable_power=True)
 
 
 def operator_cases():

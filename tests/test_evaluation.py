@@ -27,7 +27,7 @@ def quick_config():
                          finetune_epochs=5),
         evaluation=replace(cfg.evaluation, monte_carlo=2, test_scale=600,
                            power_sweep_dbm=(20.0, 30.0), eval_batch=256),
-    ).validate()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestEvaluate:
     def test_config_rejects_test_scale_below_two(self, quick_config):
         with pytest.raises(ConfigError):
             replace(quick_config, evaluation=replace(
-                quick_config.evaluation, test_scale=1)).validate()
+                quick_config.evaluation, test_scale=1))
 
 
 class TestMonteCarlo:
@@ -150,7 +150,7 @@ class TestMonteCarlo:
             self, quick_base, quick_config):
         cfg = replace(quick_config,
                       evaluation=replace(quick_config.evaluation,
-                                         monte_carlo=1)).validate()
+                                         monte_carlo=1))
         report = ev.monte_carlo_eval(quick_base, cfg)
         assert len(report.rows) == len(cfg.evaluation.power_sweep_dbm)
 
@@ -171,7 +171,7 @@ class TestMonteCarlo:
                 training=replace(cfg.training, epochs=20, restarts=1,
                                  finetune_epochs=30, finetune_lr=finetune_lr),
                 evaluation=replace(cfg.evaluation, monte_carlo=2, test_scale=200),
-            ).validate()
+            )
             base = training.train_base(cfg)
             rows = ev.monte_carlo_eval(base).rows
             assert rows and all(np.isnan(r.ber) for r in rows)
@@ -253,7 +253,7 @@ class TestRunSweep:
         cfg = replace(quick_config,
                       training=replace(quick_config.training, epochs=10),
                       evaluation=replace(quick_config.evaluation, monte_carlo=1,
-                                         test_scale=200)).validate()
+                                         test_scale=200))
         report = ev.run_sweep("layers", [1, 2], cfg)
         labels = {r.label for r in report.rows}
         assert len(labels) == 2
@@ -291,6 +291,18 @@ class TestCli:
         bad.write_bytes(b'{"label": "\xff"}')
         assert cli.main(["train-base", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["config-dir", "checkpoint-dir", "out-file"])
+    def test_os_error_is_usage_error(self, tmp_path, capsys, case):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {"config-dir": ["train-base", "--config", str(tmp_path)],
+                "checkpoint-dir": ["evaluate", "--checkpoint", str(tmp_path)],
+                "out-file": ["physics-dump", "--config", "mini",
+                             "--out", str(taken)]}[case]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_gradcheck_mini_passes(self, capsys):
         code = cli.main(["gradcheck", "--config", "mini"])
@@ -372,7 +384,7 @@ class TestCli:
         cfg = replace(quick_config,
                       training=replace(quick_config.training, epochs=6),
                       evaluation=replace(quick_config.evaluation, monte_carlo=1,
-                                         test_scale=120)).validate()
+                                         test_scale=120))
         cfg_path = tmp_path / "tiny.json"
         save_config(cfg, cfg_path)
         out = tmp_path / "sweep"
@@ -536,6 +548,38 @@ class TestConfigFile:
         reduce(getitem, path[:-1], doc)[path[-1]] = value
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("record, changes", [
+        ("training", {"lr_decay_interval": 0}),
+        ("training", {"finetune_epochs": -5}),
+        ("training", {"weight_decay": -1.0}),
+        ("training", {"power_alpha": 0}),
+        ("training", {"power_beta": -2}),
+        ("geometry", {"light_speed": -3e8}),
+        ("evaluation", {"power_sweep_dbm": (20, 20)}),
+        ("channel", {"coherence": 1.5}),
+        ("terminal", {"tx_unit_grid": (0, 4)}),
+        ("terminal", {"rx_antenna_grid": (2,)}),
+        ("terminal", {"rx_layers": -1}),
+        ("geometry", {"frequency": 0.0}),
+        ("geometry", {"unit_spacing": -0.005}),
+        ("geometry", {"terminals": ()}),
+        ("system", {"n_bits": (0, 4)}),
+        ("system", {"geometry": None}),
+    ], ids=["zero-decay-interval", "negative-finetune-epochs",
+            "negative-weight-decay", "zero-power-alpha", "negative-power-beta",
+            "negative-light-speed", "duplicate-sweep-power", "coherence-above-one",
+            "zero-unit-grid", "one-axis-grid", "negative-layers", "zero-frequency",
+            "negative-spacing", "no-terminals", "zero-bits", "no-geometry"])
+    def test_out_of_range_record_is_config_error_at_construction(self, record,
+                                                                 changes):
+        # every config record checks itself when built, replace() included
+        cfg = miniature_config()
+        target = {"system": cfg, "geometry": cfg.geometry,
+                  "terminal": cfg.geometry.terminal(1), "channel": cfg.channel,
+                  "training": cfg.training, "evaluation": cfg.evaluation}[record]
+        with pytest.raises(ConfigError):
+            replace(target, **changes)
 
     @pytest.mark.parametrize("path", [
         ("system", "frequency_hz"), ("sim", "terminals"), ("sim",),

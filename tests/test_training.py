@@ -18,7 +18,7 @@ from simfd.config import miniature_config
 def quick_config():
     cfg = miniature_config(seed=11)
     return replace(cfg, training=replace(cfg.training, epochs=40, restarts=1,
-                                         batch_size=64)).validate()
+                                         batch_size=64))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ class TestXavierInit:
 
     def test_empirical_variance(self):
         # a 200-bit, 250-antenna terminal: its last TX weight is 200 x 500
-        from simfd.wavefield import TerminalLayout
+        from simfd.config import TerminalLayout
         big = TerminalLayout((250, 1), (1, 1), (1, 1), (1, 1), 0, 0)
         small = TerminalLayout((1, 1), (1, 1), (1, 1), (1, 1), 0, 0)
         arch = emnn.EmnnArchitecture(n_bits=(200, 1), terminals=(big, small))

@@ -4,7 +4,8 @@ import pytest
 import simfd.autograd as ag
 import simfd.emnn as emnn
 import simfd.wavefield as wf
-from simfd.config import miniature_config, reference_config
+from simfd.config import (GeometryConfig, TerminalLayout, miniature_config,
+                          reference_config)
 
 F = 28e9
 LAM = wf.C_LIGHT / F
@@ -158,12 +159,10 @@ class TestPhaseMask:
 
 def mini_geometry(l_layers=2, k_layers=2):
     terminals = (
-        wf.TerminalLayout((2, 2), (2, 2), (4, 4), (4, 4), l_layers, k_layers),
-        wf.TerminalLayout((2, 2), (2, 2), (4, 4), (4, 4), l_layers, k_layers),
+        TerminalLayout((2, 2), (2, 2), (4, 4), (4, 4), l_layers, k_layers),
+        TerminalLayout((2, 2), (2, 2), (4, 4), (4, 4), l_layers, k_layers),
     )
-    geom = wf.GeometryConfig(frequency=F, terminals=terminals)
-    geom.validate()
-    return geom
+    return GeometryConfig(frequency=F, terminals=terminals)
 
 
 def tx_factors(geom, q):
@@ -271,9 +270,9 @@ class TestPropagationOperators:
 
     def test_channel_grids(self):
         # the unit grid faces the channel, the antenna grid when no layers
-        t = wf.TerminalLayout((2, 2), (3, 1), (4, 4), (5, 5), 0, 2)
+        t = TerminalLayout((2, 2), (3, 1), (4, 4), (5, 5), 0, 2)
         assert t.channel_grids == ((2, 2), (5, 5))
-        t = wf.TerminalLayout((2, 2), (3, 1), (4, 4), (5, 5), 1, 0)
+        t = TerminalLayout((2, 2), (3, 1), (4, 4), (5, 5), 1, 0)
         assert t.channel_grids == ((4, 4), (3, 1))
 
     def test_dimension_mismatch_rejected(self):
