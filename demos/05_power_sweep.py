@@ -1,6 +1,6 @@
 """Monte Carlo BER power sweep with and without the metasurface stacks:
-trains both arms, fine-tunes per realization, and tabulates median BER
-versus transmit power.
+runs the protocol (train a base model, fine-tune per realization, sweep
+power) for both arms and tabulates median BER versus transmit power.
 
 Run: python demos/05_power_sweep.py        (about 15 seconds)
 """
@@ -8,32 +8,27 @@ Run: python demos/05_power_sweep.py        (about 15 seconds)
 from dataclasses import replace
 
 import simfd.evaluation as ev
-import simfd.training as training
 from simfd.config import miniature_config
 
 cfg = miniature_config()
 cfg = replace(cfg, evaluation=replace(cfg.evaluation, monte_carlo=3,
                                       test_scale=4000))
+conventional = ev.baseline_conventional(cfg)
 
-reports = {}
-for label, config in (("with stacks", cfg),
-                      ("no stacks", ev.baseline_conventional(cfg))):
-    print(f"training base model: {label} ...")
-    base = training.train_base(config)
-    reports[label] = ev.monte_carlo_eval(base)
+print("training and evaluating both arms ...")
+report = ev.protocol([cfg, conventional])
 
 print(f"\n{'power':>8} | {'with stacks':>22} | {'no stacks':>22}")
 print(f"{'dBm':>8} | {'median':>10} {'mean':>10} | {'median':>10} {'mean':>10}")
-rows = {label: {a['power_dbm']: a for a in report.aggregates()}
-        for label, report in reports.items()}
+aggs = {(a["label"], a["power_dbm"]): a for a in report.aggregates()}
 for power in cfg.evaluation.power_sweep_dbm:
-    sim = rows["with stacks"][power]
-    conv = rows["no stacks"][power]
+    sim = aggs[cfg.label, power]
+    conv = aggs[conventional.label, power]
     print(f"{power:8.1f} | {sim['median_ber']:10.5f} {sim['mean_ber']:10.5f} "
           f"| {conv['median_ber']:10.5f} {conv['mean_ber']:10.5f}")
 
-reports["with stacks"].to_csv("sweep_with_stacks.csv")
-reports["no stacks"].to_csv("sweep_no_stacks.csv")
-print("\nwrote sweep_with_stacks.csv / sweep_no_stacks.csv")
+report.to_csv("power_sweep.csv")
+print(f"\nwrote power_sweep.csv: label {cfg.label} with stacks, "
+      f"{conventional.label} without")
 print("every row carries its reproducing seed; rerun any of them with "
       "simfd.evaluation.rerun_row")

@@ -150,14 +150,15 @@ def cmd_evaluate(args):
     real_seed, rng, realization = _realization(config, args)
     powers = [args.power] if args.power is not None \
         else list(config.evaluation.power_sweep_dbm)
-    report = ev.BerReport()
+    rows = []
     for power in powers:
         errors, bits, ratio = ev.evaluate(model, realization, power,
                                           config.evaluation.test_scale, rng)
-        report.add(ev.BerRow(config.label, float(power), 0, real_seed,
-                             bits, errors, ratio))
+        rows.append(ev.BerRow(config.label, float(power), 0, real_seed,
+                              bits, errors, ratio))
         print(f"evaluate power={power:.1f}dBm ber={ratio:.6e} "
               f"errors={errors}/{bits}")
+    report = ev.BerReport(rows)
     out = _out_dir(args)
     report.to_csv(out / "evaluate.csv")
     report.to_json(out / "evaluate.json", config)
@@ -166,7 +167,8 @@ def cmd_evaluate(args):
 
 def _parse_grid(kind, text):
     """Grid points of a sweep. A power sweep takes its powers from the
-    config and no grid; the other kinds need a non-empty, well-formed one."""
+    config and no grid; the other kinds need a non-empty, well-formed one
+    that names each point once, since a report row must name one run."""
     items = [s.strip() for s in text.split(",") if s.strip()]
     if kind == "power":
         if items:
@@ -177,17 +179,22 @@ def _parse_grid(kind, text):
         raise ConfigError(f"a {kind} sweep needs a non-empty --grid")
     try:
         if kind == "layers":
-            return [int(s) for s in items]
-        sep = "x" if kind == "units" else "+"
-        return [tuple(int(v) for v in s.split(sep)) for s in items]
+            grid = [int(s) for s in items]
+        else:
+            sep = "x" if kind == "units" else "+"
+            grid = [tuple(int(v) for v in s.split(sep)) for s in items]
     except ValueError as exc:
         raise ConfigError(f"malformed --grid {text!r}: {exc}") from exc
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"--grid {text!r} names a point twice")
+    return grid
 
 
 def cmd_sweep(args):
     config = _apply_scale_flags(resolve_config(args.config), args)
     grid = _parse_grid(args.kind, args.grid)
-    report = ev.run_sweep(args.kind, grid, config, master_seed=args.seed)
+    report = ev.protocol(ev.sweep_configs(args.kind, grid, config),
+                         master_seed=args.seed)
     out = _out_dir(args)
     report.to_csv(out / f"sweep_{args.kind}.csv")
     report.to_json(out / f"sweep_{args.kind}.json", config)

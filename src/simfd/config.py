@@ -512,4 +512,4 @@ def with_bits(config, n_bits):
     """Copy of a config with the per-terminal bit counts replaced."""
     n_bits = tuple(int(b) for b in n_bits)
     return replace(config, n_bits=n_bits,
-                   label=f"{config.label}-B{n_bits[0]}+{n_bits[1]}")
+                   label=f"{config.label}-B{'+'.join(map(str, n_bits))}")

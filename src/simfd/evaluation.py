@@ -1,5 +1,6 @@
-"""Monte Carlo BER evaluation: power sweeps, the no-stack baseline, and
-experiment grids over layer count, unit count, and bit count.
+"""Monte Carlo BER evaluation: the train / fine-tune / sweep protocol, the
+no-stack baseline, and experiment grids over layer count, unit count, and
+bit count.
 
 Every emitted row carries the integer seed that reproduces it; rerun_row
 replays the realization / fine-tune / evaluation pipeline for one row and
@@ -43,19 +44,11 @@ class BerRow:
 
 
 class BerReport:
-    """Rows plus per-(label, power) aggregates, exportable to CSV/JSON."""
+    """Rows ordered by (label, power, realization) once, when the report is
+    built, plus per-(label, power) aggregates, exportable to CSV/JSON."""
 
-    def __init__(self, rows=None):
-        self.rows = list(rows or [])
-
-    def add(self, row):
-        self.rows.append(row)
-
-    def extend(self, rows):
-        self.rows.extend(rows)
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.label, r.power_dbm, r.realization))
+    def __init__(self, rows):
+        self.rows = sorted(rows, key=lambda r: (r.label, r.power_dbm, r.realization))
 
     def aggregates(self):
         groups = {}
@@ -72,17 +65,16 @@ class BerReport:
             })
         return out
 
-    def median_ber(self, label, power_dbm=None):
-        vals = [r.ber for r in self.rows
-                if r.label == label and (power_dbm is None or r.power_dbm == power_dbm)]
-        return float(np.median(vals))
+    def median_ber(self, label, power_dbm):
+        return float(np.median([r.ber for r in self.rows
+                                if (r.label, r.power_dbm) == (label, power_dbm)]))
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["label", "power_dbm", "realization", "seed",
                              "bits", "errors", "ber"])
-            for row in self.sorted_rows():
+            for row in self.rows:
                 writer.writerow([row.label, row.power_dbm, row.realization,
                                  row.seed, row.bits, row.errors, repr(row.ber)])
 
@@ -146,37 +138,33 @@ def _eval_one_realization(base, source, seed, index, powers, test_scale, label):
     return rows
 
 
-def monte_carlo_eval(base, config=None, master_seed=None):
+def monte_carlo_eval(base, master_seed=None):
     """Fine-tune and sweep the power grid over independent realizations.
 
-    Each realization gets a derived seed covering its channel innovation,
-    the fine-tune batches, and the evaluation symbols; a diverged fine-tune
-    is recorded as failed rows (ber = nan) rather than dropped. The
-    persistent channel component is anchored to the training seed of
-    `config` (the checkpoint's own config when none is passed), so an
-    override that changes `training.seed` also changes the persistent
-    links; rows reproduce from (config, row seed) alone.
+    Everything is read from the checkpoint's config. Each realization gets a
+    derived seed covering its channel innovation, the fine-tune batches, and
+    the evaluation symbols; a diverged fine-tune is recorded as failed rows
+    (ber = nan) rather than dropped. Rows reproduce from (checkpoint, row
+    seed) alone.
     """
-    config = base.config if config is None else config
+    config = base.config
     ev = config.evaluation
     master_seed = ev.seed if master_seed is None else master_seed
     source = ChannelSource(config)
-    report = BerReport()
-    for index in range(ev.monte_carlo):
-        report.extend(_eval_one_realization(
+    return BerReport([
+        row for index in range(ev.monte_carlo)
+        for row in _eval_one_realization(
             base, source, derive_seed(master_seed, index), index,
-            ev.power_sweep_dbm, ev.test_scale, config.label))
-    report.rows = report.sorted_rows()
-    return report
+            ev.power_sweep_dbm, ev.test_scale, config.label)])
 
 
-def rerun_row(base, row, config=None):
+def rerun_row(base, row):
     """Replay one report row from its recorded seed; must reproduce exactly.
 
     The sweep runs up to the row's power, since each power's symbols are
     drawn from the same generator after those of the powers before it.
     """
-    config = base.config if config is None else config
+    config = base.config
     powers = [float(p) for p in config.evaluation.power_sweep_dbm]
     if row.power_dbm not in powers:
         raise ValueError(f"power {row.power_dbm} not in the configured sweep")
@@ -204,20 +192,13 @@ def sweep_configs(kind, grid, base_config):
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def run_sweep(kind, grid, base_config, master_seed=None):
-    """Train and evaluate one model per grid point; emit a combined report.
+def protocol(configs, master_seed=None):
+    """The paper's protocol for each config: train a base model on the
+    statistical channel, then fine-tune and sweep it on each realization.
 
-    Per-point failures are recorded (nan rows) and the sweep continues.
+    An arm over training seeds is a list of configs that differ only in
+    `training.seed`; its rows share a label. One report holds every row.
     """
-    report = BerReport()
-    for config in sweep_configs(kind, grid, base_config):
-        try:
-            base = training.train_base(config)
-            point = monte_carlo_eval(base, config, master_seed=master_seed)
-            report.extend(point.rows)
-        except emnn.ArchitectureError:
-            for power in config.evaluation.power_sweep_dbm:
-                report.add(BerRow(config.label, float(power), -1, -1, 0, 0,
-                                  float("nan")))
-    report.rows = report.sorted_rows()
-    return report
+    return BerReport([row for config in configs
+                      for row in monte_carlo_eval(training.train_base(config),
+                                                  master_seed).rows])

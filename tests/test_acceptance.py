@@ -52,16 +52,13 @@ def protocol_arm(kind):
         config = with_layers(config, int(kind[1]))
     elif kind == "bits88":
         config = with_bits(config, (8, 8))
-    rows = {p: [] for p in config.evaluation.power_sweep_dbm}
-    for seed in ARM_SEEDS:
-        cfg = replace(config,
-                      training=replace(config.training, seed=seed),
-                      evaluation=replace(config.evaluation,
-                                         monte_carlo=ARM_REALIZATIONS,
-                                         test_scale=ARM_SYMBOLS))
-        for row in ev.monte_carlo_eval(training.train_base(cfg)).rows:
-            rows[row.power_dbm].append(row.ber)
-    return {p: float(np.median(v)) for p, v in rows.items()}
+    config = replace(config, evaluation=replace(config.evaluation,
+                                                monte_carlo=ARM_REALIZATIONS,
+                                                test_scale=ARM_SYMBOLS))
+    report = ev.protocol([replace(config, training=replace(config.training, seed=seed))
+                          for seed in ARM_SEEDS])
+    return {p: report.median_ber(config.label, p)
+            for p in config.evaluation.power_sweep_dbm}
 
 
 def test_gradient_correctness(mini):
@@ -291,8 +288,8 @@ def test_determinism(mini, tmp_path):
                          finetune_epochs=5),
         evaluation=replace(mini.evaluation, monte_carlo=2, test_scale=500,
                            power_sweep_dbm=(30.0,), eval_batch=256))
-    base = training.train_base(quick)
-    rows = ev.monte_carlo_eval(base).rows
+    rows = ev.protocol([quick]).rows
+    base = training.train_base(quick)  # trained again: rows replay on a fresh base
     replayed = [ev.rerun_row(base, row) for row in rows]
     rows_match = all(a.errors == b.errors and a.bits == b.bits and a.ber == b.ber
                      for a, b in zip(rows, replayed))

@@ -151,7 +151,7 @@ class TestMonteCarlo:
         cfg = replace(quick_config,
                       evaluation=replace(quick_config.evaluation,
                                          monte_carlo=1))
-        report = ev.monte_carlo_eval(quick_base, cfg)
+        report = ev.monte_carlo_eval(replace(quick_base, config=cfg))
         assert len(report.rows) == len(cfg.evaluation.power_sweep_dbm)
 
     def test_rows_carry_reproducing_seed(self, quick_base):
@@ -172,13 +172,36 @@ class TestMonteCarlo:
                                  finetune_epochs=30, finetune_lr=finetune_lr),
                 evaluation=replace(cfg.evaluation, monte_carlo=2, test_scale=200),
             )
-            base = training.train_base(cfg)
-            rows = ev.monte_carlo_eval(base).rows
+            rows = ev.protocol([cfg]).rows
             assert rows and all(np.isnan(r.ber) for r in rows)
+            base = training.train_base(cfg)
             for row in rows:
                 again = ev.rerun_row(base, row)
                 assert all(a == b or a != a and b != b
                            for a, b in zip(astuple(again), astuple(row)))
+
+
+class TestProtocol:
+    def test_arm_over_training_seeds_is_one_report(self, quick_config):
+        configs = [replace(quick_config, training=replace(quick_config.training, seed=s))
+                   for s in (1, 2)]
+        report = ev.protocol(configs)
+        rows = [r for c in configs
+                for r in ev.monte_carlo_eval(training.train_base(c)).rows]
+        assert report.rows == sorted(
+            rows, key=lambda r: (r.label, r.power_dbm, r.realization))
+        assert {r.label for r in report.rows} == {quick_config.label}
+        for p in quick_config.evaluation.power_sweep_dbm:
+            assert report.median_ber(quick_config.label, p) == np.median(
+                [r.ber for r in rows if r.power_dbm == p])
+
+    def test_report_orders_its_rows_once_built(self):
+        rows = [ev.BerRow(label, power, realization, 0, 8, 1, 0.125)
+                for realization in (1, 0) for power in (30.0, 20.0)
+                for label in ("b", "a")]
+        ordered = ev.BerReport(rows).rows
+        assert [(r.label, r.power_dbm, r.realization) for r in ordered] == sorted(
+            (r.label, r.power_dbm, r.realization) for r in rows)
 
 
 class TestReportFormats:
@@ -243,18 +266,17 @@ class TestBaselineConventional:
 
     def test_trains_and_evaluates(self, quick_config):
         base_cfg = ev.baseline_conventional(quick_config)
-        ck = training.train_base(base_cfg)
-        report = ev.monte_carlo_eval(ck)
+        report = ev.protocol([base_cfg])
         assert len(report.rows) > 0
 
 
-class TestRunSweep:
+class TestSweep:
     def test_layers_sweep_produces_labelled_curves(self, quick_config):
         cfg = replace(quick_config,
                       training=replace(quick_config.training, epochs=10),
                       evaluation=replace(quick_config.evaluation, monte_carlo=1,
                                          test_scale=200))
-        report = ev.run_sweep("layers", [1, 2], cfg)
+        report = ev.protocol(ev.sweep_configs("layers", [1, 2], cfg))
         labels = {r.label for r in report.rows}
         assert len(labels) == 2
         assert len(report.rows) == 2 * len(cfg.evaluation.power_sweep_dbm)
@@ -394,7 +416,8 @@ class TestCli:
 
     @pytest.mark.parametrize("kind, grid", [
         ("layers", "x"), ("units", "4x"), ("layers", ""), ("units", " , "),
-        ("bits", ""), ("power", "10,20")])
+        ("bits", ""), ("power", "10,20"), ("layers", "1,1"), ("layers", "1,01"),
+        ("bits", "4+4,04+4"), ("bits", "4")])
     def test_bad_sweep_grid_is_usage_error(self, quick_config, tmp_path, capsys,
                                            kind, grid):
         cfg_path = tmp_path / "quick.json"

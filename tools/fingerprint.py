@@ -11,7 +11,10 @@ Prints one JSON object of sha256 digests:
   and a `rerun_row` replay of its last row;
 - the `simfd gradcheck --config mini` output line;
 - every CSV of `simfd physics-dump --config mini`, once with zero phases and
-  once with the mini checkpoint's phases and realization seed 3.
+  once with the mini checkpoint's phases and realization seed 3;
+- the CSV and JSON of `simfd sweep --kind layers --grid 0,1` on a quick mini
+  config (40 epochs, 1 restart, batch 64, 5 fine-tune epochs, 2 realizations
+  of 500 symbols).
 
 Run it against two trees and diff the output:
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from simfd import cli, evaluation, training
 from simfd.channel import ChannelSource
-from simfd.config import miniature_config, reference_config
+from simfd.config import miniature_config, reference_config, save_config
 
 
 def sha(data):
@@ -74,12 +77,12 @@ def fingerprint():
                                   np.random.default_rng(3))
         training.save_checkpoint(tuned, tmp / "finetune.ckpt")
         digests["finetune.mini.ckpt"] = sha((tmp / "finetune.ckpt").read_bytes())
-        config = dataclasses.replace(base.config, evaluation=dataclasses.replace(
-            base.config.evaluation, monte_carlo=2))
-        rows = evaluation.monte_carlo_eval(base, config).rows
+        two = dataclasses.replace(base, config=dataclasses.replace(
+            base.config, evaluation=dataclasses.replace(base.config.evaluation,
+                                                        monte_carlo=2)))
+        rows = evaluation.monte_carlo_eval(two).rows
         digests["monte_carlo_eval.mini.rows"] = rows_digest(rows)
-        digests["rerun_row.mini.last"] = rows_digest(
-            [evaluation.rerun_row(base, rows[-1], config)])
+        digests["rerun_row.mini.last"] = rows_digest([evaluation.rerun_row(two, rows[-1])])
 
         digests["gradcheck.mini"] = sha(cli_stdout(["gradcheck", "--config", "mini"]))
 
@@ -90,6 +93,20 @@ def fingerprint():
             cli_stdout(["physics-dump", "--config", "mini", "--out", str(out)] + extra)
             for csv in sorted(out.glob("*.csv")):
                 digests[f"physics_dump.{tag}.{csv.name}"] = sha(csv.read_bytes())
+
+        mini = miniature_config()
+        save_config(dataclasses.replace(
+            mini,
+            training=dataclasses.replace(mini.training, epochs=40, restarts=1,
+                                         batch_size=64, finetune_epochs=5),
+            evaluation=dataclasses.replace(mini.evaluation, monte_carlo=2,
+                                           test_scale=500, eval_batch=256)),
+            tmp / "quick.json")
+        cli_stdout(["sweep", "--config", str(tmp / "quick.json"), "--kind", "layers",
+                    "--grid", "0,1", "--out", str(tmp / "sweep")])
+        for ext in ("csv", "json"):
+            digests[f"sweep.layers.{ext}"] = sha((tmp / "sweep" / f"sweep_layers.{ext}")
+                                                 .read_bytes())
     return digests
 
 
