@@ -24,12 +24,9 @@ print(f"  eigenvalue range [{eigs.min():+.4f}, {eigs.max():.4f}]")
 
 # --- link budget --------------------------------------------------------------
 chan = cfg.channel
-for name, dist, extra in (("cross link", chan.distance, 0.0),
-                          ("self-interference", chan.si_distance,
-                           chan.si_isolation_db)):
-    ref = min(chan.reference_distance, dist)
-    pl = ch.path_loss_db(ch.PathLossParams(dist, ref, chan.path_loss_exponent, 0.0),
-                         lam) + extra
+for name, dist, link in (("cross link", chan.distance, (1, 2)),
+                         ("self-interference", chan.si_distance, (1, 1))):
+    pl = ch.link_loss_db(cfg, *link)
     print(f"{name:18s}: {dist:5.1f} m -> {pl:6.1f} dB "
           f"(amplitude {10 ** (-pl / 20):.2e})")
 print(f"receiver noise: {chan.noise_dbm} dBm = {ch.dbm_to_watt(chan.noise_dbm):.1e} W")

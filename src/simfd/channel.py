@@ -22,33 +22,13 @@ NOMINAL_TAG = 0x534F5552
 
 
 class ChannelError(ValueError):
-    """Invalid channel parameters or non-conforming shapes."""
+    """A channel realization with non-finite link entries."""
 
 
 def derive_seed(master, index):
     """Independent child seed `index` of experiment seed `master`."""
     seq = np.random.SeedSequence([int(master), int(index)])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class PathLossParams:
-    """Log-distance path loss inputs; `exponent` is the path-loss exponent."""
-
-    distance: float
-    reference_distance: float = 1.0
-    exponent: float = 3.5
-    shadowing_db: float = 0.0
-
-    def __post_init__(self):
-        if self.reference_distance <= 0:
-            raise ChannelError("reference distance must be positive")
-        if self.distance < self.reference_distance:
-            raise ChannelError("distance below the reference distance")
-        if self.exponent <= 0:
-            raise ChannelError("path loss exponent must be positive")
-        if self.shadowing_db < 0:
-            raise ChannelError("shadowing std must be >= 0")
 
 
 @dataclass
@@ -93,11 +73,6 @@ def spatial_correlation(positions, wavelength):
 
 def psd_sqrt(matrix):
     """Symmetric PSD square root with negative eigenvalues clipped to zero."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ChannelError("square matrix expected")
-    if np.abs(matrix - matrix.T).max() > 1e-10:
-        raise ChannelError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(matrix)
     # a C-ordered right operand: with vecs.T itself, the product's last bits
     # depend on the BLAS thread count for some sizes (9 x 9 among them)
@@ -112,35 +87,30 @@ def draw_iid_rayleigh(rows, cols, rng):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def correlated_channel(rx_sqrt, iid, tx_sqrt):
-    """Kronecker-correlated channel: rx_sqrt @ iid @ tx_sqrt."""
-    rx_sqrt = np.asarray(rx_sqrt)
-    tx_sqrt = np.asarray(tx_sqrt)
-    iid = np.asarray(iid)
-    if rx_sqrt.shape[1] != iid.shape[0] or iid.shape[1] != tx_sqrt.shape[0]:
-        raise ChannelError(
-            f"non-conforming shapes {rx_sqrt.shape} {iid.shape} {tx_sqrt.shape}")
-    return rx_sqrt @ iid @ tx_sqrt
+def link_loss_db(config, p, q, rng=None):
+    """Loss of link (p, q) of a SystemConfig, in dB:
+    PL(D) = 20 log10(4 pi D0 / lambda) + 10 b log10(D / D0) + X.
 
-
-def path_loss_db(params, wavelength, rng=None):
-    """PL(D) = 20 log10(4 pi D0 / lambda) + 10 b log10(D / D0) + X.
-
-    X is the shadowing term: one N(0, std^2) draw from `rng` when the
-    configured std is positive, else 0.
+    Cross links use the terminal separation and its shadowing std;
+    self-interference links use the SI distance and SI shadowing, with the
+    reference D0 capped at the SI distance (an SI link closer than the
+    reference falls back to free-space loss at its own distance), plus the
+    SI isolation. X is one N(0, std^2) draw from `rng` when the link's std
+    is positive and `rng` is given, else 0.
     """
-    shadow_db = 0.0
-    if params.shadowing_db > 0 and rng is not None:
-        shadow_db = params.shadowing_db * rng.standard_normal()
-    pl0 = 20.0 * np.log10(4.0 * np.pi * params.reference_distance / wavelength)
-    return pl0 + 10.0 * params.exponent * np.log10(
-        params.distance / params.reference_distance) + shadow_db
+    chan = config.channel
+    cross = p != q
+    dist = chan.distance if cross else chan.si_distance
+    ref = chan.reference_distance if cross else min(chan.reference_distance, dist)
+    std = chan.shadowing_db if cross else chan.si_shadowing_db
+    shadow_db = std * rng.standard_normal() if std > 0 and rng is not None else 0.0
+    pl = 20.0 * np.log10(4.0 * np.pi * ref / config.geometry.wavelength) \
+        + 10.0 * chan.path_loss_exponent * np.log10(dist / ref) + shadow_db
+    return pl if cross else pl + chan.si_isolation_db
 
 
 def draw_noise(variance_linear, size, rng):
     """Complex Gaussian noise, variance `variance_linear` per entry."""
-    if variance_linear < 0:
-        raise ChannelError("noise variance must be >= 0")
     if variance_linear == 0.0:
         return np.zeros(size, dtype=complex)
     std = np.sqrt(variance_linear / 2.0)
@@ -167,35 +137,18 @@ def correlation_bundle(geom):
 def realize_channels(config, rng):
     """Draw all four link matrices of a SystemConfig.
 
-    Cross links (1,2) and (2,1) use the terminal separation distance and the
-    configured shadowing; self-interference links (1,1) and (2,2) use the SI
-    distance, SI shadowing, and the extra SI isolation. rng consumption order
-    is fixed: links in LINK_ORDER, per link one shadowing draw (only when
-    that link's shadowing std is positive) then the fading matrix.
+    Each link's gain is its `link_loss_db` budget; rng consumption order is
+    fixed: links in LINK_ORDER, per link one shadowing draw (only when that
+    link's shadowing std is positive) then the fading matrix.
     """
-    geom = config.geometry
-    chan = config.channel
-    corr = correlation_bundle(geom)
+    corr = correlation_bundle(config.geometry)
     links = {}
     for p, q in LINK_ORDER:
-        cross = p != q
-        # SI links closer than the reference distance fall back to free-space
-        # loss at their actual distance (reference = distance, exponent moot)
-        ref = chan.reference_distance if cross \
-            else min(chan.reference_distance, chan.si_distance)
-        params = PathLossParams(
-            distance=chan.distance if cross else chan.si_distance,
-            reference_distance=ref,
-            exponent=chan.path_loss_exponent,
-            shadowing_db=chan.shadowing_db if cross else chan.si_shadowing_db)
-        pl = path_loss_db(params, geom.wavelength, rng=rng)
-        if not cross:
-            pl += chan.si_isolation_db
-        gain = 10.0 ** (-pl / 20.0)
+        gain = 10.0 ** (-link_loss_db(config, p, q, rng) / 20.0)
         tx_side = corr[p].tx_sqrt
         rx_side = corr[q].rx_sqrt
         iid = draw_iid_rayleigh(rx_side.shape[0], tx_side.shape[0], rng)
-        links[(p, q)] = gain * correlated_channel(rx_side, iid, tx_side)
+        links[(p, q)] = gain * (rx_side @ iid @ tx_side)
     out = ChannelRealization(links)
     out.validate()
     return out

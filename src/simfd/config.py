@@ -36,7 +36,9 @@ class TerminalLayout:
     def __post_init__(self):
         for grid in (self.tx_antenna_grid, self.rx_antenna_grid,
                      self.tx_unit_grid, self.rx_unit_grid):
-            if len(grid) != 2 or min(grid) < 1:
+            if len(grid) != 2:
+                raise ConfigError(f"a grid has two axes (nx, ny), got {grid}")
+            if min(grid) < 1:
                 raise ConfigError(f"grid dimensions must be >= 1, got {grid}")
         if self.tx_layers < 0 or self.rx_layers < 0:
             raise ConfigError("layer counts must be >= 0")

@@ -49,8 +49,6 @@ def bce_loss(bits, soft):
 def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                weight_decay=0.0):
     """One decoupled-weight-decay Adam update, in place on `data`, `m`, `v`."""
-    if not np.isfinite(grad).all():
-        raise TrainingDiverged("non-finite gradient")
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
@@ -93,8 +91,6 @@ class AdamW:
 
 def lr_schedule(epoch, train_config):
     """Stepped decay: lr0 * decay^(epoch // interval), floored."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
     tc = train_config
     lr = tc.learning_rate * tc.lr_decay ** (epoch // tc.lr_decay_interval)
     return max(lr, tc.lr_floor)

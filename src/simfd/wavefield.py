@@ -17,15 +17,11 @@ class GeometryError(ValueError):
 
 
 def unit_positions(nx, ny, spacing, layer_index=0, layer_spacing=0.0):
-    """Element centers of a centered nx-by-ny grid at z = layer_index * spacing.
+    """Element centers of a centered nx-by-ny grid at z = layer_index * layer_spacing.
 
     Returns an (nx*ny, 3) array, x index running fastest; the grid centroid
     is (0, 0, layer_index * layer_spacing).
     """
-    if nx < 1 or ny < 1:
-        raise GeometryError("grid dimensions must be >= 1")
-    if spacing <= 0:
-        raise GeometryError("spacing must be positive")
     xs = (np.arange(nx) - (nx - 1) / 2.0) * spacing
     ys = (np.arange(ny) - (ny - 1) / 2.0) * spacing
     out = np.zeros((nx * ny, 3))
@@ -60,8 +56,6 @@ def transmission_matrix(prev_positions, next_positions, frequency, unit_area,
     """
     prev_positions = np.asarray(prev_positions, dtype=float)
     next_positions = np.asarray(next_positions, dtype=float)
-    if prev_positions.size == 0 or next_positions.size == 0:
-        raise GeometryError("empty position list")
     if unit_area <= 0:
         raise GeometryError("unit area must be positive")
     diff = next_positions[:, None, :] - prev_positions[None, :, :]

@@ -157,7 +157,7 @@ def test_channel_statistics():
     acc = np.zeros((16, 16), dtype=complex)
     draws = 20000
     for _ in range(draws):
-        g = ch.correlated_channel(s_rx, ch.draw_iid_rayleigh(4, 4, rng), s_tx)
+        g = s_rx @ ch.draw_iid_rayleigh(4, 4, rng) @ s_tx
         v = g.flatten("F")
         acc += np.outer(v, v.conj())
     want = np.kron(r_tx, r_rx)
@@ -176,13 +176,14 @@ def test_channel_statistics():
            f"half-wavelength entries {off_zero:.1e} (< 1e-15)")
 
 
-def test_path_loss():
-    lam = 0.0107
+def test_path_loss(mini):
+    lam = mini.geometry.wavelength
     worst = 0.0
     for d0, b, d in ((1.0, 3.5, 50.0), (1.0, 2.0, 10.0), (0.5, 4.0, 333.0)):
-        got = ch.path_loss_db(ch.PathLossParams(d, d0, b, 0.0), lam)
+        cfg = replace(mini, channel=replace(mini.channel, distance=d, reference_distance=d0,
+                                            path_loss_exponent=b))
         want = 20.0 * np.log10(4.0 * np.pi * d0 / lam) + 10.0 * b * np.log10(d / d0)
-        worst = max(worst, abs(got - want))
+        worst = max(worst, abs(ch.link_loss_db(cfg, 1, 2) - want))
     report("path loss", worst < 1e-9,
            f"worst deviation {worst:.2e} dB (< 1e-9)")
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,6 @@ class TestPsdSqrt:
         change = np.abs(root @ root.T - r).max()
         assert change <= most_negative + 1e-12
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ch.ChannelError):
-            ch.psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
     def test_reference_roots_do_not_depend_on_thread_count(self):
         # the reference preset's 9 x 9 channel-facing grids; a product of the
         # eigenvectors with their transpose view gave other last bits on 2
@@ -101,32 +98,6 @@ class TestIidRayleigh:
 
 
 class TestCorrelatedChannel:
-    def test_identity_correlations_pass_through(self):
-        rng = np.random.default_rng(1)
-        g = ch.draw_iid_rayleigh(4, 3, rng)
-        assert np.array_equal(ch.correlated_channel(np.eye(4), g, np.eye(3)), g)
-
-    def test_hand_multiplied_two_by_two(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        b = np.array([[2.0, 0.0], [0.0, 1.0]])
-        g = np.array([[1 + 1j, 2.0], [0.0, 1j]])
-        want = a @ g @ b
-        assert np.array_equal(ch.correlated_channel(a, g, b), want)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ch.ChannelError):
-            ch.correlated_channel(np.eye(3), np.ones((4, 2)), np.eye(2))
-
-    def test_variance_preserved_under_identity(self):
-        rng = np.random.default_rng(2)
-        acc = 0.0
-        n = 0
-        for _ in range(500):  # 1e4 entries
-            g = ch.correlated_channel(np.eye(5), ch.draw_iid_rayleigh(5, 4, rng), np.eye(4))
-            acc += (np.abs(g) ** 2).sum()
-            n += g.size
-        assert abs(acc / n - 1.0) < 0.02
-
     def test_kronecker_covariance(self):
         # empirical covariance of vec(G) matches kron(R_tx, R_rx) on a
         # 2x2 / 2x2 layer pair over 2e4 draws (Monte Carlo oracle)
@@ -139,7 +110,7 @@ class TestCorrelatedChannel:
         draws = 20000
         acc = np.zeros((16, 16), dtype=complex)
         for _ in range(draws):
-            g = ch.correlated_channel(s_rx, ch.draw_iid_rayleigh(4, 4, rng), s_tx)
+            g = s_rx @ ch.draw_iid_rayleigh(4, 4, rng) @ s_tx
             v = g.flatten("F")
             acc += np.outer(v, v.conj())
         emp = acc / draws
@@ -148,35 +119,66 @@ class TestCorrelatedChannel:
         assert err < 0.05
 
 
-class TestPathLoss:
+def budget_config(**channel):
+    """The mini preset with its channel fields replaced."""
+    cfg = miniature_config()
+    return replace(cfg, channel=replace(cfg.channel, **channel))
+
+
+class TestLinkLoss:
     def test_reference_distance_free_space(self):
-        params = ch.PathLossParams(distance=1.0, reference_distance=1.0,
-                                   exponent=3.5, shadowing_db=0.0)
-        got = ch.path_loss_db(params, 0.0107)
-        want = 20.0 * np.log10(4.0 * np.pi * 1.0 / 0.0107)
-        assert got == pytest.approx(want, abs=1e-12)
+        cfg = budget_config(distance=1.0, reference_distance=1.0, shadowing_db=0.0)
+        lam = cfg.geometry.wavelength
+        want = 20.0 * np.log10(4.0 * np.pi * 1.0 / lam)
+        for key in ((1, 2), (2, 1)):
+            assert ch.link_loss_db(cfg, *key) == pytest.approx(want, abs=1e-12)
 
     def test_decade_distance_adds_ten_b(self):
-        p0 = ch.PathLossParams(1.0, 1.0, 3.5, 0.0)
-        p1 = ch.PathLossParams(10.0, 1.0, 3.5, 0.0)
-        got0 = ch.path_loss_db(p0, LAM)
-        got1 = ch.path_loss_db(p1, LAM)
-        assert got1 - got0 == pytest.approx(35.0, abs=1e-9)
-
-    def test_shadowing_seed_determinism(self):
-        params = ch.PathLossParams(50.0, 1.0, 3.5, 9.0)
-        a = ch.path_loss_db(params, LAM, rng=np.random.default_rng(7))
-        b = ch.path_loss_db(params, LAM, rng=np.random.default_rng(7))
-        assert a == b
+        near = budget_config(distance=1.0, path_loss_exponent=3.5)
+        far = budget_config(distance=10.0, path_loss_exponent=3.5)
+        assert ch.link_loss_db(far, 1, 2) - ch.link_loss_db(near, 1, 2) \
+            == pytest.approx(35.0, abs=1e-9)
 
     def test_monotone_in_distance(self):
-        vals = [ch.path_loss_db(ch.PathLossParams(d, 1.0, 3.5, 0.0), LAM)
+        vals = [ch.link_loss_db(budget_config(distance=d), 1, 2)
                 for d in (1.0, 2.0, 5.0, 20.0, 50.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_below_reference_rejected(self):
-        with pytest.raises(ch.ChannelError):
-            ch.path_loss_db(ch.PathLossParams(0.5, 1.0, 3.5, 0.0), LAM)
+    def test_si_link_below_reference_is_free_space_plus_isolation(self):
+        cfg = budget_config(si_distance=0.5, reference_distance=1.0,
+                            si_isolation_db=20.0)
+        want = 20.0 * np.log10(4.0 * np.pi * 0.5 / cfg.geometry.wavelength) + 20.0
+        for key in ((1, 1), (2, 2)):
+            assert ch.link_loss_db(cfg, *key) == pytest.approx(want, abs=1e-12)
+
+    def test_si_link_beyond_reference_uses_the_exponent(self):
+        cfg = budget_config(si_distance=2.0, reference_distance=1.0,
+                            path_loss_exponent=3.0, si_isolation_db=10.0)
+        want = 20.0 * np.log10(4.0 * np.pi / cfg.geometry.wavelength) \
+            + 30.0 * np.log10(2.0) + 10.0
+        assert ch.link_loss_db(cfg, 1, 1) == pytest.approx(want, abs=1e-12)
+
+    def test_shadowing_draw_precedes_isolation(self):
+        # one draw scaled by the link's std, added before the SI isolation;
+        # the exact order pins the realization bits
+        cfg = budget_config(si_shadowing_db=3.0, si_isolation_db=30.0)
+        chan = cfg.channel
+        ref = min(chan.reference_distance, chan.si_distance)
+        z = np.random.default_rng(7).standard_normal()
+        want = 20.0 * np.log10(4.0 * np.pi * ref / cfg.geometry.wavelength) \
+            + 10.0 * chan.path_loss_exponent * np.log10(chan.si_distance / ref) \
+            + 3.0 * z + 30.0
+        assert ch.link_loss_db(cfg, 2, 2, np.random.default_rng(7)) == want
+
+    def test_shadowing_only_with_rng_and_positive_std(self):
+        cfg = budget_config(shadowing_db=9.0, si_shadowing_db=0.0)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        assert ch.link_loss_db(cfg, 1, 1, rng) == ch.link_loss_db(cfg, 1, 1)
+        assert rng.bit_generator.state == state
+        a = ch.link_loss_db(cfg, 1, 2, np.random.default_rng(7))
+        b = ch.link_loss_db(cfg, 1, 2, np.random.default_rng(7))
+        assert a == b != ch.link_loss_db(cfg, 1, 2)
 
 
 class TestDrawNoise:
@@ -215,7 +217,6 @@ class TestRealizeChannels:
     def test_degenerate_composition_equals_iid_draw(self):
         # identity correlations (2x1 grid at lambda/2), PL forced to 0 dB by
         # putting both terminals at D = D0 = lambda / (4 pi), no shadowing
-        from dataclasses import replace
         from simfd.config import (ChannelConfig, GeometryConfig, SystemConfig,
                                   TerminalLayout)
         lam = LAM
@@ -237,7 +238,6 @@ class TestRealizeChannels:
             assert np.allclose(real.links[key], want, rtol=1e-12, atol=1e-12)
 
     def test_si_links_use_isolation(self):
-        from dataclasses import replace
         cfg = miniature_config()
         iso = replace(cfg, channel=replace(cfg.channel, si_isolation_db=40.0,
                                            shadowing_db=0.0))
@@ -251,6 +251,15 @@ class TestRealizeChannels:
                                rtol=1e-12, atol=0)
         for key in ((1, 2), (2, 1)):
             assert np.array_equal(a.links[key], b.links[key])
+
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_gain_is_channel_error(self):
+        # an unbounded shadowing std passes the config; a draw of it can
+        # overflow a link's gain, and the realization rejects the link
+        cfg = budget_config(shadowing_db=1e4)
+        with pytest.raises(ch.ChannelError, match=r"non-finite entries in link \(2, 1\)"):
+            ch.realize_channels(cfg, np.random.default_rng(1))
 
 
 class TestChannelSource:
@@ -270,7 +279,6 @@ class TestChannelSource:
         assert not np.array_equal(a.links[(1, 2)], b.links[(1, 2)])
 
     def test_zero_coherence_recovers_iid_draw(self):
-        from dataclasses import replace
         cfg = miniature_config()
         cfg0 = replace(cfg, channel=replace(cfg.channel, coherence=0.0,
                                             si_coherence=0.0))

@@ -326,6 +326,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_link_gain_is_runtime_error(self, tmp_path, capsys):
+        cfg = miniature_config()
+        cfg_path = tmp_path / "loud.json"
+        save_config(replace(cfg, channel=replace(cfg.channel, shadowing_db=1e4)), cfg_path)
+        assert cli.main(["train-base", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "run")]) == 1
+        assert "non-finite entries" in capsys.readouterr().err
+
     def test_gradcheck_mini_passes(self, capsys):
         code = cli.main(["gradcheck", "--config", "mini"])
         out = capsys.readouterr().out
@@ -426,6 +435,17 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg_path), "--kind", kind,
                          "--grid", grid, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_three_axis_unit_grid_names_the_axis_count(self, quick_config, tmp_path,
+                                                       capsys):
+        cfg_path = tmp_path / "quick.json"
+        save_config(quick_config, cfg_path)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--kind", "units",
+                         "--grid", "4x4x4", "--out", str(out)]) == 2
+        assert "error: a grid has two axes (nx, ny), got (4, 4, 4)" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_subcommand_usage(self):
@@ -572,36 +592,46 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize("record, changes", [
-        ("training", {"lr_decay_interval": 0}),
-        ("training", {"finetune_epochs": -5}),
-        ("training", {"weight_decay": -1.0}),
-        ("training", {"power_alpha": 0}),
-        ("training", {"power_beta": -2}),
-        ("geometry", {"light_speed": -3e8}),
-        ("evaluation", {"power_sweep_dbm": (20, 20)}),
-        ("channel", {"coherence": 1.5}),
-        ("terminal", {"tx_unit_grid": (0, 4)}),
-        ("terminal", {"rx_antenna_grid": (2,)}),
-        ("terminal", {"rx_layers": -1}),
-        ("geometry", {"frequency": 0.0}),
-        ("geometry", {"unit_spacing": -0.005}),
-        ("geometry", {"terminals": ()}),
-        ("system", {"n_bits": (0, 4)}),
-        ("system", {"geometry": None}),
+    @pytest.mark.parametrize("record, changes, message", [
+        ("training", {"lr_decay_interval": 0}, "lr decay interval"),
+        ("training", {"finetune_epochs": -5}, "finetune epochs"),
+        ("training", {"weight_decay": -1.0}, "weight decay"),
+        ("training", {"power_alpha": 0}, "power Beta"),
+        ("training", {"power_beta": -2}, "power Beta"),
+        ("geometry", {"light_speed": -3e8}, "light speed"),
+        ("evaluation", {"power_sweep_dbm": (20, 20)}, "repeats a power"),
+        ("channel", {"coherence": 1.5}, "coherence"),
+        ("channel", {"distance": 0.5}, "link distance below reference"),
+        ("channel", {"reference_distance": 0}, "reference distance must be positive"),
+        ("channel", {"path_loss_exponent": 0}, "path loss exponent"),
+        ("channel", {"shadowing_db": -1}, "shadowing std"),
+        ("channel", {"si_shadowing_db": -1}, "shadowing std"),
+        ("channel", {"si_distance": 0}, "SI distance"),
+        ("terminal", {"tx_unit_grid": (0, 4)}, r"grid dimensions must be >= 1"),
+        ("terminal", {"rx_antenna_grid": (2,)}, r"a grid has two axes \(nx, ny\), got \(2,\)"),
+        ("terminal", {"rx_layers": -1}, "layer counts"),
+        ("geometry", {"frequency": 0.0}, "frequency"),
+        ("geometry", {"unit_spacing": -0.005}, "spacings"),
+        ("geometry", {"layer_spacing": 0}, "spacings"),
+        ("geometry", {"terminals": ()}, "two terminals"),
+        ("system", {"n_bits": (0, 4)}, "bit counts"),
+        ("system", {"geometry": None}, "geometry section"),
     ], ids=["zero-decay-interval", "negative-finetune-epochs",
             "negative-weight-decay", "zero-power-alpha", "negative-power-beta",
             "negative-light-speed", "duplicate-sweep-power", "coherence-above-one",
-            "zero-unit-grid", "one-axis-grid", "negative-layers", "zero-frequency",
-            "negative-spacing", "no-terminals", "zero-bits", "no-geometry"])
+            "distance-below-reference", "zero-reference-distance",
+            "zero-path-loss-exponent", "negative-shadowing", "negative-si-shadowing",
+            "zero-si-distance", "zero-unit-grid", "one-axis-grid", "negative-layers",
+            "zero-frequency", "negative-spacing", "zero-layer-spacing", "no-terminals",
+            "zero-bits", "no-geometry"])
     def test_out_of_range_record_is_config_error_at_construction(self, record,
-                                                                 changes):
+                                                                 changes, message):
         # every config record checks itself when built, replace() included
         cfg = miniature_config()
         target = {"system": cfg, "geometry": cfg.geometry,
                   "terminal": cfg.geometry.terminal(1), "channel": cfg.channel,
                   "training": cfg.training, "evaluation": cfg.evaluation}[record]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             replace(target, **changes)
 
     @pytest.mark.parametrize("path", [

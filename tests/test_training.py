@@ -199,10 +199,6 @@ class TestLrSchedule:
                      lr_decay_interval=50)
         assert training.lr_schedule(10 ** 6, tc) == tc.lr_floor
 
-    def test_negative_epoch_rejected(self, quick_config):
-        with pytest.raises(ValueError):
-            training.lr_schedule(-1, quick_config.training)
-
 
 class TestSampleBatch:
     def test_bit_marginal(self, quick_config):

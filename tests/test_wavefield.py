@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,10 +47,6 @@ class TestUnitPositions:
     def test_centroid_on_axis(self):
         pos = wf.unit_positions(4, 3, D, layer_index=1, layer_spacing=0.01)
         assert np.allclose(pos.mean(axis=0), [0.0, 0.0, 0.01])
-
-    def test_invalid_spacing(self):
-        with pytest.raises(wf.GeometryError):
-            wf.unit_positions(2, 2, 0.0)
 
 
 class TestDiffractionCoefficient:
@@ -287,6 +285,16 @@ class TestGeometryConfig:
         assert geom.spacing == pytest.approx(LAM / 2)
         assert geom.layer_gap == pytest.approx(LAM / 2)
         assert geom.unit_area == pytest.approx((LAM / 2) ** 2)
+
+    @pytest.mark.parametrize("spacing, message", [
+        ({"unit_spacing": 1e-170}, "unit area"),
+        ({"layer_spacing": 1e-170}, "coincident units")])
+    def test_underflowing_spacing_is_geometry_error(self, spacing, message):
+        # a positive spacing passes the config, but its square underflows to
+        # 0: the unit area, or the distance between facing units, vanishes
+        geom = replace(mini_geometry(), **spacing)
+        with pytest.raises(wf.GeometryError, match=message):
+            wf.stack_factors(geom, *geom.terminal(1).tx_stack)
 
 
 def test_pair_conversion_roundtrip():

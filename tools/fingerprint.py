@@ -14,7 +14,10 @@ Prints one JSON object of sha256 digests:
   once with the mini checkpoint's phases and realization seed 3;
 - the CSV and JSON of `simfd sweep --kind layers --grid 0,1` on a quick mini
   config (40 epochs, 1 restart, batch 64, 5 fine-tune epochs, 2 realizations
-  of 500 symbols).
+  of 500 symbols);
+- the link bytes of `realize_channels` with rng seeds 0-4 and of
+  `ChannelSource.instantaneous(3)`, for `mini` and `reference` with
+  `si_shadowing_db` 3 (the presets leave the SI links unshadowed).
 
 Run it against two trees and diff the output:
 
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from simfd import cli, evaluation, training
-from simfd.channel import ChannelSource
+from simfd.channel import LINK_ORDER, ChannelSource, realize_channels
 from simfd.config import miniature_config, reference_config, save_config
 
 
@@ -107,6 +110,15 @@ def fingerprint():
         for ext in ("csv", "json"):
             digests[f"sweep.layers.{ext}"] = sha((tmp / "sweep" / f"sweep_layers.{ext}")
                                                  .read_bytes())
+
+    links = []
+    for config in (miniature_config(), reference_config()):
+        config = dataclasses.replace(config, channel=dataclasses.replace(
+            config.channel, si_shadowing_db=3.0))
+        draws = [realize_channels(config, np.random.default_rng(seed)) for seed in range(5)]
+        draws.append(ChannelSource(config).instantaneous(3))
+        links += [draw.link(*key).tobytes() for draw in draws for key in LINK_ORDER]
+    digests["realize_channels.si_shadowed.links"] = sha(b"".join(links))
     return digests
 
 
