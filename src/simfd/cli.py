@@ -52,7 +52,7 @@ def full_grad_check(config, seed=0, batch=8, h=1e-6, power_dbm=10.0):
         powers = np.full(batch, power_dbm)
         noise_var = dbm_to_watt(config.channel.noise_dbm)
         frozen_noise = [draw_noise(noise_var, (batch, n), rng)
-                        for n in model.arch.rx_antennas]
+                        for n in config.geometry.rx_antennas]
 
         def builder():
             soft = model.forward(bits, powers, realization, training=True,
@@ -92,7 +92,7 @@ def matrix_to_csv(path, matrix):
 
 
 def _apply_scale_flags(config, args):
-    if getattr(args, "full_scale", False):
+    if args.full_scale:
         config = replace(config, evaluation=replace(
             config.evaluation, monte_carlo=100, test_scale=100000))
     return config
@@ -115,9 +115,7 @@ def _realization(config, args):
 
 
 def cmd_train_base(args):
-    config = _apply_scale_flags(resolve_config(args.config), args)
-    seed = args.seed if args.seed is not None else config.training.seed
-    ck = training.train_base(config, seed=seed)
+    ck = training.train_base(resolve_config(args.config), seed=args.seed)
     out = _out_dir(args)
     path = out / "base.ckpt"
     training.save_checkpoint(ck, path)
@@ -153,7 +151,8 @@ def cmd_evaluate(args):
     rows = []
     for power in powers:
         errors, bits, ratio = ev.evaluate(model, realization, power,
-                                          config.evaluation.test_scale, rng)
+                                          config.evaluation.test_scale, rng,
+                                          batch_size=config.evaluation.eval_batch)
         rows.append(ev.BerRow(config.label, float(power), 0, real_seed,
                               bits, errors, ratio))
         print(f"evaluate power={power:.1f}dBm ber={ratio:.6e} "

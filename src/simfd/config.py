@@ -116,6 +116,15 @@ class GeometryConfig:
     def terminal(self, q):
         return self.terminals[q - 1]
 
+    @property
+    def tx_antennas(self):
+        """(terminal 1, terminal 2) transmit antenna counts."""
+        return tuple(t.tx_antennas for t in self.terminals)
+
+    @property
+    def rx_antennas(self):
+        return tuple(t.rx_antennas for t in self.terminals)
+
 
 @dataclass(frozen=True)
 class ChannelConfig:

@@ -21,8 +21,6 @@ cost does not grow with the batch.
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,57 +35,9 @@ class ArchitectureError(ValueError):
     """Configuration and network structure disagree."""
 
 
-def _per_terminal(count):
-    """Property giving a TerminalLayout count for both terminals, (t1, t2);
-    cached, since the forward reads several per call."""
-    return cached_property(lambda self: tuple(count(t) for t in self.terminals))
-
-
-@dataclass(frozen=True)
-class EmnnArchitecture:
-    """Per-terminal counts and layer widths of the network for one
-    configuration."""
-
-    n_bits: tuple
-    terminals: tuple     # (TerminalLayout, TerminalLayout)
-
-    tx_antennas = _per_terminal(lambda t: t.tx_antennas)
-    rx_antennas = _per_terminal(lambda t: t.rx_antennas)
-    tx_units = _per_terminal(lambda t: t.tx_units)
-    rx_units = _per_terminal(lambda t: t.rx_units)
-    tx_layers = _per_terminal(lambda t: t.tx_layers)
-    rx_layers = _per_terminal(lambda t: t.rx_layers)
-    # channel-facing element counts per terminal
-    tx_channel = _per_terminal(lambda t: math.prod(t.channel_grids[0]))
-    rx_channel = _per_terminal(lambda t: math.prod(t.channel_grids[1]))
-
-    def tx_widths(self, q):
-        """Output widths of the three TX-DNN linear layers at terminal q."""
-        n = self.n_bits[q - 1]
-        return (n, n, 2 * self.tx_antennas[q - 1])
-
-    def rx_input(self, q):
-        return 2 * self.rx_antennas[q - 1]
-
-    def rx_widths(self, q):
-        """Output widths of the two RX-DNN linear layers at terminal q, which
-        decodes the other terminal's stream."""
-        n = self.n_bits[2 - q]
-        return (n, n)
-
-
-def build(config):
-    """Derive the architecture for a SystemConfig."""
-    return EmnnArchitecture(tuple(config.n_bits), config.geometry.terminals)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
-
-def xavier_limit(fan_in, fan_out):
-    return np.sqrt(6.0 / (fan_in + fan_out))
-
 
 # linear-layer biases start slightly positive: with zero biases and binary
 # inputs, relu pre-activations sit exactly on their kink at initialization,
@@ -96,35 +46,40 @@ def xavier_limit(fan_in, fan_out):
 BIAS_INIT = 0.3
 
 
-def param_table(arch, trainable_power=False):
+def param_table(config):
     """(name, shape, decay, init) of every trainable, in checkpoint order.
 
-    `decay` marks the weight matrices, the only tensors under weight decay.
-    `init` is "xavier" (uniform, see xavier_limit), "phase" (uniform in
-    [0, 2 pi)) or a constant fill. Each `rx_bn{i}.gamma` row also names the
-    running statistics of its batchnorm layer (see ParamStore).
+    Each terminal q's rows follow from its TerminalLayout and the bit counts:
+    a TX-DNN of widths (n_q, n_q, 2 x TX antennas), one phase vector per
+    stack layer, and an RX-DNN from 2 x RX antennas to a head of width n_p,
+    the other terminal's stream. `decay` marks the weight matrices, the only
+    tensors under weight decay. `init` is "xavier" (uniform in +-sqrt(6 /
+    (fan_in + fan_out))), "phase" (uniform in [0, 2 pi)) or a constant fill.
+    Each `rx_bn{i}.gamma` row also names the running statistics of its
+    batchnorm layer (see ParamStore).
     """
     rows = []
-    for q in (1, 2):
-        fan_in = arch.n_bits[q - 1]
-        for i, width in enumerate(arch.tx_widths(q)):
+    for q, term in enumerate(config.geometry.terminals, 1):
+        n_q, n_p = config.n_bits[q - 1], config.n_bits[2 - q]
+        fan_in = n_q
+        for i, width in enumerate((n_q, n_q, 2 * term.tx_antennas)):
             rows += [(f"t{q}.tx.w{i}", (fan_in, width), True, "xavier"),
                      (f"t{q}.tx.b{i}", (width,), False, BIAS_INIT)]
             fan_in = width
-        rows += [(f"t{q}.theta{layer}", (arch.tx_units[q - 1],), False, "phase")
-                 for layer in range(1, arch.tx_layers[q - 1] + 1)]
-        rows += [(f"t{q}.xi{layer}", (arch.rx_units[q - 1],), False, "phase")
-                 for layer in range(1, arch.rx_layers[q - 1] + 1)]
-        fan_in = arch.rx_input(q)
-        for i, width in enumerate(arch.rx_widths(q)):
+        rows += [(f"t{q}.theta{layer}", (term.tx_units,), False, "phase")
+                 for layer in range(1, term.tx_layers + 1)]
+        rows += [(f"t{q}.xi{layer}", (term.rx_units,), False, "phase")
+                 for layer in range(1, term.rx_layers + 1)]
+        fan_in = 2 * term.rx_antennas
+        for i, width in enumerate((n_p, n_p)):
             rows += [(f"t{q}.rx.w{i}", (fan_in, width), True, "xavier"),
                      (f"t{q}.rx.b{i}", (width,), False, BIAS_INIT)]
             fan_in = width
-        for i, width in enumerate((arch.rx_input(q),) + arch.rx_widths(q)):
+        for i, width in enumerate((2 * term.rx_antennas, n_p, n_p)):
             rows += [(f"t{q}.rx_bn{i}.gamma", (width,), False, 1.0),
                      (f"t{q}.rx_bn{i}.beta", (width,), False, 0.0)]
-    if trainable_power:
-        rows.append(("power.logits", (sum(arch.tx_antennas),), False, 0.0))
+    if config.trainable_power:
+        rows.append(("power.logits", (sum(config.geometry.tx_antennas),), False, 0.0))
     return rows
 
 
@@ -235,14 +190,15 @@ class ParamStore:
                           self.m.copy(), self.v.copy(), self.step)
 
 
-def init_params(arch, rng, trainable_power=False):
+def init_params(config, rng):
     """Xavier weights, small positive biases, uniform [0, 2 pi) phases,
     drawn from `rng` in table order."""
-    table = param_table(arch, trainable_power)
+    table = param_table(config)
     params = ParamStore(table)
     for name, shape, _, init in table:
         if init == "xavier":
-            lim = xavier_limit(*shape)
+            fan_in, fan_out = shape
+            lim = np.sqrt(6.0 / (fan_in + fan_out))
             params[name].data[...] = rng.uniform(-lim, lim, shape)
         elif init == "phase":
             params[name].data[...] = rng.uniform(0.0, 2.0 * np.pi, shape)
@@ -264,7 +220,7 @@ def tx_dnn_forward(bits, params, q):
     return x
 
 
-def allocate_power(power_dbm, arch, params):
+def allocate_power(power_dbm, geom, params):
     """Per-antenna linear transmit powers for both terminals, (B, A_q) each.
 
     Default split: half the budget per terminal, uniform across its antennas.
@@ -272,7 +228,7 @@ def allocate_power(power_dbm, arch, params):
     transmit antennas, so the total still sums to the per-sample budget.
     """
     p_lin = ch.dbm_to_watt(np.asarray(power_dbm, dtype=float)).reshape(-1, 1)
-    a1, a2 = arch.tx_antennas
+    a1, a2 = geom.tx_antennas
     if params.power_logits is None:
         p1 = np.broadcast_to(p_lin / (2.0 * a1), (p_lin.shape[0], a1))
         p2 = np.broadcast_to(p_lin / (2.0 * a2), (p_lin.shape[0], a2))
@@ -363,18 +319,20 @@ def hard_decision(soft):
 # ---------------------------------------------------------------------------
 
 class Emnn:
-    """Architecture + fixed propagation factors + trainable parameters."""
+    """Config + fixed propagation factors + trainable parameters."""
 
     def __init__(self, config, params=None, rng=None):
         self.config = config
-        self.arch = build(config)
         geom = config.geometry
+        # the per-terminal counts under the name `arch`, for the benchmark
+        # workloads' `model.arch.rx_antennas`; nothing in simfd reads it
+        self.arch = geom
         self.tx_factors = [wf.stack_factors(geom, *t.tx_stack) for t in geom.terminals]
         self.rx_factors = [wf.stack_factors(geom, *t.rx_stack) for t in geom.terminals]
         if params is None:
             if rng is None:
                 raise ArchitectureError("either params or an rng is required")
-            params = init_params(self.arch, rng, config.trainable_power)
+            params = init_params(config, rng)
         self.params = params
         # fixed receiver front-end gain: measure the antenna signal in units
         # of the noise standard deviation so batchnorm sees O(1) variances
@@ -382,8 +340,10 @@ class Emnn:
         self.rx_scale = 1.0 / np.sqrt(noise_var) if noise_var > 0 else 1.0
 
     def check_realization(self, realization):
+        geom = self.config.geometry
         for p, q in ch.LINK_ORDER:
-            expect = (self.arch.rx_channel[q - 1], self.arch.tx_channel[p - 1])
+            expect = (math.prod(geom.terminal(q).channel_grids[1]),
+                      math.prod(geom.terminal(p).channel_grids[0]))
             got = realization.link(p, q).shape
             if got != expect:
                 raise ArchitectureError(
@@ -406,15 +366,16 @@ class Emnn:
         """
         self.check_realization(realization)
         bits = np.asarray(bits, dtype=float)
-        n1 = self.arch.n_bits[0]
+        geom = self.config.geometry
+        n1 = self.config.n_bits[0]
 
         joint, sent = [], []
-        p_alloc = allocate_power(power_dbm, self.arch, self.params)
+        p_alloc = allocate_power(power_dbm, geom, self.params)
         for q, p_q in zip((1, 2), p_alloc):
             block = bits[:, :n1] if q == 1 else bits[:, n1:]
             raw = tx_dnn_forward(block, self.params, q)
             joint.append(ag.to_complex(power_control(raw, p_q)))
-            eye = np.eye(self.arch.tx_antennas[q - 1], dtype=complex)
+            eye = np.eye(geom.terminal(q).tx_antennas, dtype=complex)
             sent.append(tx_sim_forward(eye, self.tx_factors[q - 1],
                                        self.params.layers(q, "theta")))
         joint = ag.concat(joint, axis=1)
@@ -431,7 +392,7 @@ class Emnn:
                 raise ArchitectureError("no rng for the receiver noise")
             else:
                 n_q = ch.draw_noise(ch.dbm_to_watt(self.config.channel.noise_dbm),
-                                    (bits.shape[0], self.arch.rx_antennas[q - 1]),
+                                    (bits.shape[0], geom.terminal(q).rx_antennas),
                                     rng)
             r_q = ag.add(r_q, wf.complex_to_pair(n_q))
             received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale),

@@ -78,14 +78,11 @@ class BerReport:
                 writer.writerow([row.label, row.power_dbm, row.realization,
                                  row.seed, row.bits, row.errors, repr(row.ber)])
 
-    def summary(self, config=None):
-        doc = {"aggregates": self.aggregates(), "rows": len(self.rows)}
-        if config is not None:
-            doc["config_digest"] = config.digest()
-            doc["config_label"] = config.label
-        return doc
+    def summary(self, config):
+        return {"aggregates": self.aggregates(), "rows": len(self.rows),
+                "config_digest": config.digest(), "config_label": config.label}
 
-    def to_json(self, path, config=None):
+    def to_json(self, path, config):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.summary(config), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -239,8 +239,7 @@ def _assemble_checkpoint(header, payload):
     config = config_from_dict(header["config"])
     if config.digest() != header["config_digest"]:
         raise CheckpointError("config digest mismatch")
-    params = emnn.ParamStore(emnn.param_table(emnn.build(config), config.trainable_power),
-                             step=header["opt_step"])
+    params = emnn.ParamStore(emnn.param_table(config), step=header["opt_step"])
     arrays = params.named_arrays()
     # compared as JSON text, so that neither 4.0 nor true stands in for 4
     if (json.dumps(header["tensors"], sort_keys=True)

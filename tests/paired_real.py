@@ -109,11 +109,10 @@ def channel_layer(s1, s2, link_pairs):
 
 def batch_first_forward(model, bits, power_dbm, realization, training, noise):
     """Every stage applied to the data batch itself, in paired real rows."""
-    arch = model.arch
-    n1 = arch.n_bits[0]
+    n1 = model.config.n_bits[0]
     link_pairs = {key: planes(realization.link(*key)) for key in ch.LINK_ORDER}
     sent = []
-    p_alloc = emnn.allocate_power(power_dbm, arch, model.params)
+    p_alloc = emnn.allocate_power(power_dbm, model.config.geometry, model.params)
     for q, p_q in zip((1, 2), p_alloc):
         block = bits[:, :n1] if q == 1 else bits[:, n1:]
         x = emnn.power_control(emnn.tx_dnn_forward(block, model.params, q), p_q)

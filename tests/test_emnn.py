@@ -25,52 +25,62 @@ def mini_realization(mini):
     return ch.ChannelSource(mini).instantaneous(7)
 
 
-def table_shapes(arch, q):
+def table_shapes(cfg, q):
     """{name without the terminal prefix: shape} of terminal q's table rows."""
     return {name.split(".", 1)[1]: shape
-            for name, shape, _, _ in emnn.param_table(arch) if name.startswith(f"t{q}.")}
+            for name, shape, _, _ in emnn.param_table(cfg) if name.startswith(f"t{q}.")}
 
 
-class TestBuild:
+class TestParamTable:
     def test_reference_widths_terminal_one(self):
-        arch = emnn.build(reference_config())
-        shapes = table_shapes(arch, 1)
+        cfg = reference_config()
+        shapes = table_shapes(cfg, 1)
         # stream 1: 12 bits, 16 TX antennas, 81-unit layers
         assert [shapes[f"tx.w{i}"] for i in range(3)] == [(12, 12), (12, 12), (12, 32)]
         assert shapes["theta1"] == (81,)
-        assert arch.rx_channel[0] == 81
+        # the RX stack's last layer faces the channel
+        assert cfg.geometry.terminal(1).channel_grids[1] == (9, 9)
         assert shapes["rx.w0"][0] == 32
         # stream 1 is decoded at terminal 2: 12-wide head there
-        assert arch.rx_widths(2) == (12, 12)
-        assert table_shapes(arch, 2)["rx.w1"] == (12, 12)
+        other = table_shapes(cfg, 2)
+        assert [other["rx.b0"], other["rx.b1"]] == [(12,), (12,)]
+        assert other["rx.w1"] == (12, 12)
 
     def test_reference_widths_terminal_two(self):
-        arch = emnn.build(reference_config())
-        shapes = table_shapes(arch, 2)
+        shapes = table_shapes(reference_config(), 2)
         assert [shapes[f"tx.b{i}"] for i in range(3)] == [(8,), (8,), (18,)]
         # stream 2 is decoded at terminal 1
-        assert arch.rx_widths(1) == (8, 8)
-        assert table_shapes(arch, 1)["rx_bn2.gamma"] == (8,)
+        other = table_shapes(reference_config(), 1)
+        assert [other["rx.b0"], other["rx.b1"]] == [(8,), (8,)]
+        assert other["rx_bn2.gamma"] == (8,)
 
     def test_no_sim_baseline_degeneracy(self):
         from simfd.config import with_layers
-        arch = emnn.build(with_layers(reference_config(), 0))
-        assert arch.tx_layers == (0, 0)
-        # with no stacks the channel lands on the antennas directly
-        assert arch.rx_channel == arch.rx_antennas == (16, 9)
+        cfg = with_layers(reference_config(), 0)
         assert not any(".theta" in name or ".xi" in name
-                       for name, *_ in emnn.param_table(arch))
+                       for name, *_ in emnn.param_table(cfg))
+        # with no stacks the channel lands on the antennas directly:
+        # A_2^rx x A_1^tx for the link 1 -> 2
+        real = ch.ChannelSource(cfg).instantaneous(0)
+        assert real.link(1, 2).shape == (9, 16)
+        assert real.link(1, 1).shape == (16, 16)
+        emnn.Emnn(cfg, rng=np.random.default_rng(0)).check_realization(real)
 
     def test_param_table_matches_miniature(self, mini):
-        arch = emnn.build(mini)
-        shapes = table_shapes(arch, 1)
+        shapes = table_shapes(mini, 1)
         assert shapes["tx.w0"] == (4, 4)                 # bit input
         assert [shapes[f"tx.b{i}"] for i in range(3)] == [(4,), (4,), (8,)]
         assert shapes["theta1"] == (16,)
         assert shapes["rx_bn2.beta"] == (4,)              # the sigmoid's width
 
+    def test_model_arch_reads_the_geometry(self):
+        # the per-terminal antenna counts callers read as `model.arch`
+        model = emnn.Emnn(reference_config(), rng=np.random.default_rng(0))
+        assert model.arch.rx_antennas == (16, 9)
+        assert model.arch.tx_antennas == (16, 9)
+
     def test_layers_group_the_tables_tensors(self, mini):
-        params = emnn.init_params(emnn.build(mini), np.random.default_rng(0))
+        params = emnn.init_params(mini, np.random.default_rng(0))
         grouped = []
         for q in (1, 2):
             for w, b in params.layers(q, "tx") + params.layers(q, "rx"):
@@ -91,8 +101,7 @@ def init_digest(cfg):
     batchnorm state's name, running mean and running var, of a seed-0 init;
     with the tensor and scalar counts."""
     import hashlib
-    params = emnn.init_params(emnn.build(cfg), np.random.default_rng(0),
-                              cfg.trainable_power)
+    params = emnn.init_params(cfg, np.random.default_rng(0))
     h = hashlib.sha256()
     for name, t in params.named_tensors().items():
         h.update(name.encode())
@@ -128,7 +137,7 @@ class TestParamStore:
         assert init_digest(cfg) == self.INIT_DIGESTS[case]
 
     def test_tensors_view_one_buffer_decayed_first(self, mini):
-        params = emnn.init_params(emnn.build(mini), np.random.default_rng(2))
+        params = emnn.init_params(mini, np.random.default_rng(2))
         assert params.flat.size == sum(t.size for t in params.trainables())
         prefix = params.flat[:params.decayed]
         for name, _, decay, _ in params.table:
@@ -155,8 +164,7 @@ class TestParamStore:
 
 class TestTxDnn:
     def test_zero_weights_zero_output(self, mini):
-        arch = emnn.build(mini)
-        params = emnn.init_params(arch, np.random.default_rng(1))
+        params = emnn.init_params(mini, np.random.default_rng(1))
         for i in range(3):
             params[f"t1.tx.w{i}"].data[:] = 0.0
             params[f"t1.tx.b{i}"].data[:] = 0.0
@@ -214,7 +222,8 @@ class TestPowerControl:
 
     def test_equal_split_allocation(self, mini_model):
         power_dbm = np.full(10, 30.0)
-        p1, p2 = emnn.allocate_power(power_dbm, mini_model.arch, mini_model.params)
+        p1, p2 = emnn.allocate_power(power_dbm, mini_model.config.geometry,
+                                     mini_model.params)
         assert np.allclose(p1.data.sum(axis=1) + p2.data.sum(axis=1), 1.0)
         assert np.allclose(p1.data, p1.data[0, 0])
 
@@ -223,7 +232,7 @@ class TestPowerControl:
         cfg = replace(mini, trainable_power=True)
         model = emnn.Emnn(cfg, rng=np.random.default_rng(6))
         model.params.power_logits.data[:] = np.random.default_rng(7).standard_normal(8)
-        p1, p2 = emnn.allocate_power(np.full(4, 10.0), model.arch, model.params)
+        p1, p2 = emnn.allocate_power(np.full(4, 10.0), cfg.geometry, model.params)
         total = p1.data.sum(axis=1) + p2.data.sum(axis=1)
         assert np.allclose(total, ch.dbm_to_watt(10.0))
 
@@ -322,8 +331,7 @@ class TestRxDnn:
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_zero_last_scale_gives_half(self, mini):
-        arch = emnn.build(mini)
-        params = emnn.init_params(arch, np.random.default_rng(16))
+        params = emnn.init_params(mini, np.random.default_rng(16))
         params["t1.rx_bn2.gamma"].data[:] = 0.0
         params["t1.rx_bn2.beta"].data[:] = 0.0
         y = ag.Tensor(np.random.default_rng(17).standard_normal((8, 8)))
@@ -447,7 +455,7 @@ class TestOperatorFirst:
         power = rng.uniform(-30.0, -10.0, batch)
         noise_var = ch.dbm_to_watt(cfg.channel.noise_dbm)
         noise = [ch.draw_noise(noise_var, (batch, a), rng)
-                 for a in emnn.build(cfg).rx_antennas]
+                 for a in cfg.geometry.rx_antennas]
 
         results = []
         for oracle in (False, True):
@@ -504,7 +512,7 @@ class TestOperatorFirst:
         # receiver 2 link matmuls and their concat
         assert len(shapes) == 2 * 4 * 2 + 2 * 3
         assert shapes == self.stage_shapes(model, mini_realization, 2, monkeypatch)
-        assert max(shape[0] for _, shape in shapes) == sum(model.arch.tx_antennas)
+        assert max(shape[0] for _, shape in shapes) == sum(mini.geometry.tx_antennas)
 
 
 class TestPhaseExport:

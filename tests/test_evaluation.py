@@ -13,7 +13,7 @@ import simfd.cli as cli
 import simfd.emnn as emnn
 import simfd.evaluation as ev
 import simfd.training as training
-from simfd.channel import ChannelSource
+from simfd.channel import ChannelSource, derive_seed
 from simfd.config import (ChannelConfig, ConfigError, config_from_dict,
                           miniature_config, reference_config, save_config)
 
@@ -240,16 +240,14 @@ class TestBaselineConventional:
 
     def test_no_phase_parameters(self, quick_config):
         base = ev.baseline_conventional(quick_config)
-        params = emnn.init_params(emnn.build(base), np.random.default_rng(0))
+        params = emnn.init_params(base, np.random.default_rng(0))
         names = params.named_tensors()
         assert not any(".theta" in n or ".xi" in n for n in names)
 
     def test_dnn_heads_shared_with_sim_config(self, quick_config):
-        sim_names = set(emnn.init_params(emnn.build(quick_config),
-                                         np.random.default_rng(0)).named_tensors())
+        sim_names = {name for name, *_ in emnn.param_table(quick_config)}
         base = ev.baseline_conventional(quick_config)
-        base_names = set(emnn.init_params(emnn.build(base),
-                                          np.random.default_rng(0)).named_tensors())
+        base_names = {name for name, *_ in emnn.param_table(base)}
         phase = {n for n in sim_names if ".theta" in n or ".xi" in n}
         assert sim_names - phase == base_names
 
@@ -288,9 +286,10 @@ class TestSweep:
 
     def test_units_sweep_follows_width_rules(self, quick_config):
         configs = ev.sweep_configs("units", [(4, 4), (6, 6)], quick_config)
-        archs = [emnn.build(c) for c in configs]
-        assert archs[0].tx_units[0] == 16
-        assert archs[1].tx_units[0] == 36
+        shapes = [dict((name, shape) for name, shape, *_ in emnn.param_table(c))
+                  for c in configs]
+        assert shapes[0]["t1.theta1"] == (16,)
+        assert shapes[1]["t1.theta1"] == (36,)
 
     def test_unknown_kind(self, quick_config):
         with pytest.raises(ValueError):
@@ -356,6 +355,30 @@ class TestCli:
                          "--power", "30", "--out", str(out)]) == 0
         assert (out / "evaluate.csv").exists()
         assert (out / "evaluate.json").exists()
+
+    def test_evaluate_config_override_sets_the_eval_batch(self, quick_base,
+                                                          quick_config, tmp_path):
+        # power control normalizes over the batch, so the count depends on
+        # it; the override's batch, not the checkpoint's, must be used
+        training.save_checkpoint(quick_base, tmp_path / "base.ckpt")
+        override = replace(quick_config, evaluation=replace(quick_config.evaluation,
+                                                            eval_batch=64))
+        save_config(override, tmp_path / "override.json")
+        out = tmp_path / "run"
+        assert cli.main(["evaluate", "--checkpoint", str(tmp_path / "base.ckpt"),
+                         "--config", str(tmp_path / "override.json"),
+                         "--power", "30", "--out", str(out)]) == 0
+        with open(out / "evaluate.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+
+        def direct(batch_size):
+            seed = derive_seed(quick_config.evaluation.seed, 0)
+            model = emnn.Emnn(quick_config, params=quick_base.params)
+            return ev.evaluate(model, ChannelSource(quick_config).instantaneous(seed),
+                               30.0, quick_config.evaluation.test_scale,
+                               np.random.default_rng(seed), batch_size=batch_size)[0]
+        assert direct(64) != direct(quick_config.evaluation.eval_batch)
+        assert int(row["errors"]) == direct(64)
 
     def test_evaluate_with_mismatched_checkpoint_fails_with_shape_error(
             self, quick_config, tmp_path, capsys):

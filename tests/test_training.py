@@ -68,8 +68,7 @@ class TestXavierInit:
 
     def test_bounds(self):
         from simfd.config import reference_config
-        params = emnn.init_params(emnn.build(reference_config()),
-                                  np.random.default_rng(3))
+        params = emnn.init_params(reference_config(), np.random.default_rng(3))
         weights = [params[name] for name, _, _, init in params.table
                    if init == "xavier"]
         assert len(weights) == 2 * (3 + 2)
@@ -79,18 +78,18 @@ class TestXavierInit:
 
     def test_empirical_variance(self):
         # a 200-bit, 250-antenna terminal: its last TX weight is 200 x 500
-        from simfd.config import TerminalLayout
+        from simfd.config import GeometryConfig, SystemConfig, TerminalLayout
         big = TerminalLayout((250, 1), (1, 1), (1, 1), (1, 1), 0, 0)
         small = TerminalLayout((1, 1), (1, 1), (1, 1), (1, 1), 0, 0)
-        arch = emnn.EmnnArchitecture(n_bits=(200, 1), terminals=(big, small))
-        w = emnn.init_params(arch, np.random.default_rng(4))["t1.tx.w2"]
+        cfg = SystemConfig(n_bits=(200, 1),
+                           geometry=GeometryConfig(28e9, terminals=(big, small)))
+        w = emnn.init_params(cfg, np.random.default_rng(4))["t1.tx.w2"]
         assert w.data.shape == (200, 500)
         want = 2.0 / (200 + 500)
         assert abs(w.data.var() - want) / want < 0.05
 
     def test_phase_vectors_uniform_range(self, quick_config):
-        params = emnn.init_params(emnn.build(quick_config),
-                                  np.random.default_rng(6))
+        params = emnn.init_params(quick_config, np.random.default_rng(6))
         phases = [params.layers(q, stack) for q in (1, 2) for stack in ("theta", "xi")]
         assert [len(p) for p in phases] == [2, 2, 2, 2]
         for th in sum(phases, []):

@@ -12,6 +12,8 @@ Prints one JSON object of sha256 digests:
 - the `simfd gradcheck --config mini` output line;
 - every CSV of `simfd physics-dump --config mini`, once with zero phases and
   once with the mini checkpoint's phases and realization seed 3;
+- the CSV and JSON of `simfd evaluate` on the mini checkpoint, with its own
+  config;
 - the CSV and JSON of `simfd sweep --kind layers --grid 0,1` on a quick mini
   config (40 epochs, 1 restart, batch 64, 5 fine-tune epochs, 2 realizations
   of 500 symbols);
@@ -96,6 +98,12 @@ def fingerprint():
             cli_stdout(["physics-dump", "--config", "mini", "--out", str(out)] + extra)
             for csv in sorted(out.glob("*.csv")):
                 digests[f"physics_dump.{tag}.{csv.name}"] = sha(csv.read_bytes())
+
+        cli_stdout(["evaluate", "--checkpoint", str(tmp / "mini.ckpt"),
+                    "--out", str(tmp / "evaluate")])
+        for ext in ("csv", "json"):
+            digests[f"evaluate.mini.{ext}"] = sha((tmp / "evaluate" / f"evaluate.{ext}")
+                                                  .read_bytes())
 
         mini = miniature_config()
         save_config(dataclasses.replace(
