@@ -36,8 +36,8 @@ ft_sm = training.smoothed([h[1] for h in tuned.history], 50)
 print(f"  fine-tune loss: start = {ft_sm[0]:.3f}, final = {ft_sm[-1]:.3f}")
 
 print("training the same realization from scratch for comparison...")
-scratch = training._train_run(cfg, None, 7, cfg.training.epochs,
-                              frozen=realization)
+scratch, = training._train_runs(cfg, None, [7], cfg.training.epochs,
+                                frozen=[realization])
 scratch_sm = training.smoothed([h[1] for h in scratch.history], 50)
 print(f"  from-scratch loss after {len(scratch_sm)} epochs = {scratch_sm[-1]:.3f}")
 print(f"  the fine-tune started below that after "

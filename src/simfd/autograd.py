@@ -24,6 +24,13 @@ node's, so treat gradients as read-only.
 
 No-grad scope. Inside `with no_grad():` ops compute values only: their
 results keep no parents, no backward closure and no tape entry.
+
+Run axis. The ops act on the trailing two axes, rows by columns, so one op
+serves a single run (2-D arrays) and an ensemble of R independent runs
+stacked on a leading axis (R, rows, columns): batch reductions run over
+axis -2, transposes swap the last two axes, and a per-run vector, one rank
+below the rows it meets, broadcasts over them as [..., None, :]. No op mixes
+runs, so each run's values and gradients are those it has on its own.
 """
 
 import warnings
@@ -42,10 +49,19 @@ class GraphError(ValueError):
     """Raised when an operation would build an ill-formed graph."""
 
 
+def _rows(data, other):
+    """`data` ready to broadcast against `other`: one rank below a stack of
+    rows it is a per-run vector, laid along the rows as [..., None, :]
+    (numpy's own rule for a 1-D vector against 2-D rows)."""
+    return data[..., None, :] if data.ndim > 1 and data.ndim == other.ndim - 1 else data
+
+
 def _unbroadcast(grad, shape):
-    """Sum a gradient back down to `shape` after numpy broadcasting."""
+    """Sum a gradient back down to `shape` after broadcasting (see _rows)."""
     if grad.shape == shape:
         return grad
+    if len(shape) > 1 and grad.ndim == len(shape) + 1:
+        return grad.sum(axis=-2)
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -214,7 +230,7 @@ def add(a, b):
             accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
             accumulate(b, _unbroadcast(out.grad, b.data.shape))
-    return _result(a.data + b.data, (a, b), bw, op="add")
+    return _result(_rows(a.data, b.data) + _rows(b.data, a.data), (a, b), bw, op="add")
 
 
 def sub(a, b):
@@ -224,17 +240,18 @@ def sub(a, b):
             accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
             accumulate(b, -_unbroadcast(out.grad, b.data.shape))
-    return _result(a.data - b.data, (a, b), bw, op="sub")
+    return _result(_rows(a.data, b.data) - _rows(b.data, a.data), (a, b), bw, op="sub")
 
 
 def hadamard(a, b):
     a, b = _lift(a), _lift(b)
+    da, db = _rows(a.data, b.data), _rows(b.data, a.data)
     def bw(out):
         if a.requires_grad:
-            accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            accumulate(a, _unbroadcast(out.grad * db, a.data.shape))
         if b.requires_grad:
-            accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
-    return _result(a.data * b.data, (a, b), bw, op="hadamard")
+            accumulate(b, _unbroadcast(out.grad * da, b.data.shape))
+    return _result(da * db, (a, b), bw, op="hadamard")
 
 
 def scale(a, s):
@@ -248,16 +265,17 @@ def scale(a, s):
 
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise GraphError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise GraphError("matmul expects operands of rank 2 or more")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise GraphError(f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
     def bw(out):
-        # conj() of a real array is the array itself
+        # conj() of a real array is the array itself; an operand shared by
+        # the runs of a stack (a fixed propagation factor) takes no gradient
         if a.requires_grad:
-            accumulate(a, out.grad @ b.data.conj().T)
+            accumulate(a, out.grad @ b.data.conj().swapaxes(-1, -2))
         if b.requires_grad:
-            accumulate(b, a.data.conj().T @ out.grad)
+            accumulate(b, a.data.conj().swapaxes(-1, -2) @ out.grad)
     return _result(a.data @ b.data, (a, b), bw, op="matmul")
 
 
@@ -324,8 +342,8 @@ def relu(a):
 def sigmoid(a):
     a = _lift(a)
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     def bw(out):
         if a.requires_grad:
             accumulate(a, out.grad * y * (1.0 - y))
@@ -367,7 +385,7 @@ BN_EPS = 1e-5
 
 
 def batchnorm(x, gamma, beta, running, training):
-    """Per-feature batch normalization over axis 0.
+    """Per-feature batch normalization over the rows (axis -2).
 
     `running` is the (mean, var) pair of running-statistic arrays. Training
     mode normalizes with batch statistics (batch >= 2 required) and updates
@@ -375,41 +393,45 @@ def batchnorm(x, gamma, beta, running, training):
     """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     running_mean, running_var = running
+    g = gamma.data[..., None, :]
     if training:
-        n = x.data.shape[0]
+        n = x.data.shape[-2]
         if n < 2:
             raise GraphError("batchnorm training mode requires batch >= 2")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
+        # the arithmetic of np.mean and np.var, with x centred once
+        mu = x.data.sum(axis=-2) / n
+        c = x.data - mu[..., None, :]
+        var = (c * c).sum(axis=-2) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mu) * inv_std
+        xhat = c * inv_std[..., None, :]
         m = BN_MOMENTUM
         running_mean[...] = m * running_mean + (1.0 - m) * mu
         running_var[...] = m * running_var + (1.0 - m) * var
 
         def bw(out):
-            dxhat = out.grad * gamma.data
+            dxhat = out.grad * g
             if gamma.requires_grad:
-                accumulate(gamma, (out.grad * xhat).sum(axis=0))
+                accumulate(gamma, (out.grad * xhat).sum(axis=-2))
             if beta.requires_grad:
-                accumulate(beta, out.grad.sum(axis=0))
+                accumulate(beta, out.grad.sum(axis=-2))
             if x.requires_grad:
-                accumulate(x, inv_std / n * (
-                    n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)))
-        return _result(gamma.data * xhat + beta.data, (x, gamma, beta), bw,
+                accumulate(x, (inv_std / n)[..., None, :] * (
+                    n * dxhat - dxhat.sum(axis=-2)[..., None, :]
+                    - xhat * (dxhat * xhat).sum(axis=-2)[..., None, :]))
+        return _result(g * xhat + beta.data[..., None, :], (x, gamma, beta), bw,
                        op="batchnorm")
 
     inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-    xhat = (x.data - running_mean) * inv_std
+    xhat = (x.data - running_mean[..., None, :]) * inv_std[..., None, :]
 
     def bw(out):
         if gamma.requires_grad:
-            accumulate(gamma, (out.grad * xhat).sum(axis=0))
+            accumulate(gamma, (out.grad * xhat).sum(axis=-2))
         if beta.requires_grad:
-            accumulate(beta, out.grad.sum(axis=0))
+            accumulate(beta, out.grad.sum(axis=-2))
         if x.requires_grad:
-            accumulate(x, out.grad * gamma.data * inv_std)
-    return _result(gamma.data * xhat + beta.data, (x, gamma, beta), bw,
+            accumulate(x, out.grad * g * inv_std[..., None, :])
+    return _result(g * xhat + beta.data[..., None, :], (x, gamma, beta), bw,
                    op="batchnorm")
 
 
@@ -421,17 +443,18 @@ def phase_shift(x, theta):
     """Column phases y = x diag(exp(j theta)) on complex rows (B, n).
 
     Unit modulus, so every row keeps its norm; theta is unconstrained real
-    and receives dL/dtheta = sum over rows of Im(g conj(y)).
+    and receives dL/dtheta = sum over rows of Im(g conj(y)). Per-run phases
+    (R, n) turn rows shared by the runs into a stack (R, B, n).
     """
     x, theta = _lift(x), _lift(theta)
-    if x.data.ndim != 2 or theta.data.shape != (x.data.shape[1],):
+    if x.data.ndim < 2 or theta.data.shape[-1] != x.data.shape[-1]:
         raise GraphError(f"phase length {theta.data.shape} does not match input {x.data.shape}")
-    rot = np.exp(1j * theta.data)
+    rot = np.exp(1j * theta.data)[..., None, :]
     y = x.data * rot
 
     def bw(out):
         if theta.requires_grad:
-            accumulate(theta, (out.grad * y.conj()).imag.sum(axis=0))
+            accumulate(theta, (out.grad * y.conj()).imag.sum(axis=-2))
         if x.requires_grad:
             accumulate(x, out.grad * rot.conj())
     return _result(y, (x, theta), bw, op="phase")
@@ -440,27 +463,27 @@ def phase_shift(x, theta):
 def to_complex(x):
     """Paired real rows [re | im] (B, 2n) as complex rows (B, n)."""
     x = _lift(x)
-    if x.data.ndim != 2 or x.data.shape[1] % 2:
+    if x.data.ndim < 2 or x.data.shape[-1] % 2:
         raise GraphError(f"paired rows need an even width, got {x.data.shape}")
-    n = x.data.shape[1] // 2
+    n = x.data.shape[-1] // 2
 
     def bw(out):
         if x.requires_grad:
-            accumulate(x, np.concatenate([out.grad.real, out.grad.imag], axis=1))
-    z = np.empty((x.data.shape[0], n), dtype=np.complex128)
-    z.real, z.imag = x.data[:, :n], x.data[:, n:]
+            accumulate(x, np.concatenate([out.grad.real, out.grad.imag], axis=-1))
+    z = np.empty(x.data.shape[:-1] + (n,), dtype=np.complex128)
+    z.real, z.imag = x.data[..., :n], x.data[..., n:]
     return _result(z, (x,), bw, op="to_complex")
 
 
 def to_pair(z):
     """Complex rows (B, n) as paired real rows [re | im] (B, 2n)."""
     z = _lift(z)
-    n = z.data.shape[1]
+    n = z.data.shape[-1]
 
     def bw(out):
         if z.requires_grad:
-            accumulate(z, out.grad[:, :n] + 1j * out.grad[:, n:])
-    return _result(np.concatenate([z.data.real, z.data.imag], axis=1), (z,), bw,
+            accumulate(z, out.grad[..., :n] + 1j * out.grad[..., n:])
+    return _result(np.concatenate([z.data.real, z.data.imag], axis=-1), (z,), bw,
                    op="to_pair")
 
 

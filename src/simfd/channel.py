@@ -45,10 +45,17 @@ class CorrelationMatrices:
 class ChannelRealization:
     """One draw of the four link matrices, path loss and shadowing applied.
 
-    links[(p, q)] has shape N_q x M_p (receiver rows, transmitter columns).
+    links[(p, q)] has shape N_q x M_p (receiver rows, transmitter columns),
+    or (R, N_q, M_p) for R realizations stacked on a run axis (`stack`).
     """
 
     links: dict
+
+    @classmethod
+    def stack(cls, realizations):
+        """One realization per run of an ensemble, in order."""
+        return cls({key: np.stack([r.links[key] for r in realizations])
+                    for key in LINK_ORDER})
 
     def link(self, p, q):
         return self.links[(p, q)]

@@ -84,17 +84,21 @@ def param_table(config):
 
 
 class ParamStore:
-    """All of one run's state, laid out by its table.
+    """All of one run's state, laid out by its table, or that of an
+    ensemble of R runs stacked on a leading run axis.
 
     - `flat`: every trainable, the decayed tensors first in table order,
-      then the rest, so weight decay covers its prefix `flat[:decayed]`;
+      then the rest, so weight decay covers its prefix `flat[..., :decayed]`;
       `tensors` are views into it, in table order.
     - `stats`: the batchnorm running means and variances, one (mean, var)
       pair per `rx_bn{i}.gamma` row, in table order; `running` maps each
       layer `t{q}.rx_bn{i}` to its pair of views.
     - `m`, `v`: AdamW's moments in `flat`'s layout; `step`: its step count.
 
-    `copy` copies all of it; `named_arrays` is the checkpoint's view of it.
+    One run holds `flat` (P,) and an int `step`; an ensemble (`stack`) holds
+    (R, P), (R, S) and (R,) steps, each view with the leading R axis, and
+    `run(r)` copies one run out. `copy` copies all of it; `named_arrays` is
+    the checkpoint's view of one run.
     `layers(q, kind)` groups terminal q's rows of the table, once, into the
     layers the forward walks.
     """
@@ -119,8 +123,8 @@ class ParamStore:
         self.stats = np.zeros(2 * sum(w for _, w in bns)) if stats is None else stats
         self.running, offset = {}, 0
         for bn, w in bns:
-            self.running[bn] = (self.stats[offset:offset + w],
-                                self.stats[offset + w:offset + 2 * w])
+            self.running[bn] = (self.stats[..., offset:offset + w],
+                                self.stats[..., offset + w:offset + 2 * w])
             offset += 2 * w
         if stats is None:
             for _, var in self.running.values():
@@ -141,9 +145,20 @@ class ParamStore:
                                     strict=True)),
             })
 
+    @classmethod
+    def stack(cls, stores):
+        """The ensemble of copies of single-run `stores`, run r in row r."""
+        buffers = (np.stack([getattr(s, b) for s in stores]) for b in ("flat", "stats", "m", "v"))
+        return cls(stores[0].table, *buffers, np.array([s.step for s in stores]))
+
+    def run(self, r):
+        """A single-run copy of run r of an ensemble."""
+        return ParamStore(self.table, self.flat[r].copy(), self.stats[r].copy(),
+                          self.m[r].copy(), self.v[r].copy(), int(self.step[r]))
+
     def views(self, buffer):
         """{name: view} of a buffer in `flat`'s layout, in table order."""
-        return {name: buffer[self._spans[name]].reshape(shape)
+        return {name: buffer[..., self._spans[name]].reshape(buffer.shape[:-1] + shape)
                 for name, shape, _, _ in self.table}
 
     def __getitem__(self, name):
@@ -182,8 +197,9 @@ class ParamStore:
 
     def flat_grad(self):
         """Every tensor's gradient in buffer layout; zeros where none arrived."""
-        return np.concatenate([t.grad.ravel() if t.grad is not None
-                               else np.zeros(t.size) for t in self._order])
+        rows = self.flat.shape[:-1] + (-1,)
+        return np.concatenate([(t.grad if t.grad is not None else np.zeros(t.shape))
+                               .reshape(rows) for t in self._order], axis=-1)
 
     def copy(self):
         return ParamStore(self.table, self.flat.copy(), self.stats.copy(),
@@ -227,15 +243,15 @@ def allocate_power(power_dbm, geom, params):
     With trainable allocation the budget is shared through a softmax over all
     transmit antennas, so the total still sums to the per-sample budget.
     """
-    p_lin = ch.dbm_to_watt(np.asarray(power_dbm, dtype=float)).reshape(-1, 1)
+    p_lin = ch.dbm_to_watt(np.asarray(power_dbm, dtype=float))[..., None]
     a1, a2 = geom.tx_antennas
     if params.power_logits is None:
-        p1 = np.broadcast_to(p_lin / (2.0 * a1), (p_lin.shape[0], a1))
-        p2 = np.broadcast_to(p_lin / (2.0 * a2), (p_lin.shape[0], a2))
+        p1 = np.broadcast_to(p_lin / (2.0 * a1), p_lin.shape[:-1] + (a1,))
+        p2 = np.broadcast_to(p_lin / (2.0 * a2), p_lin.shape[:-1] + (a2,))
         return ag.Tensor(p1.copy()), ag.Tensor(p2.copy())
     share = ag.softmax(params.power_logits, axis=-1)
     full = ag.hadamard(ag.Tensor(p_lin), share)
-    return ag.slice_axis(full, 1, 0, a1), ag.slice_axis(full, 1, a1, a2)
+    return ag.slice_axis(full, -1, 0, a1), ag.slice_axis(full, -1, a1, a2)
 
 
 def power_control(raw, per_antenna_power):
@@ -245,20 +261,20 @@ def power_control(raw, per_antenna_power):
     batch, then scaled by the square root of its allocated power, so the
     batch-mean total transmit power equals the (per-sample) budget.
     """
-    n = raw.data.shape[1] // 2
-    batch = raw.data.shape[0]
-    re = ag.slice_axis(raw, 1, 0, n)
-    im = ag.slice_axis(raw, 1, n, n)
+    n = raw.data.shape[-1] // 2
+    batch = raw.data.shape[-2]
+    re = ag.slice_axis(raw, -1, 0, n)
+    im = ag.slice_axis(raw, -1, n, n)
     stream_power = ag.scale(ag.reduce_sum(
         ag.add(ag.hadamard(re, re), ag.hadamard(im, im)),
-        axis=0, keepdims=True), 1.0 / batch)
+        axis=-2, keepdims=True), 1.0 / batch)
     if np.any(stream_power.data < POWER_EPS):
         warnings.warn("all-zero antenna stream in power control",
                       RuntimeWarning, stacklevel=2)
     inv_norm = ag.pow_scalar(ag.add(ag.pow_scalar(stream_power, 0.5), POWER_EPS), -1.0)
     amp = ag.pow_scalar(per_antenna_power, 0.5)
     per_stream = ag.hadamard(amp, inv_norm)
-    return ag.hadamard(raw, ag.concat([per_stream, per_stream], axis=1))
+    return ag.hadamard(raw, ag.concat([per_stream, per_stream], axis=-1))
 
 
 def tx_sim_forward(x, factors, thetas):
@@ -293,8 +309,8 @@ def channel_layer(t1, t2, realization):
     fixed, non-trainable block; receiver noise is injected after the
     receive stack (see Emnn.forward).
     """
-    return tuple(ag.concat([ag.matmul(t1, realization.link(1, q).T),
-                            ag.matmul(t2, realization.link(2, q).T)], axis=0)
+    return tuple(ag.concat([ag.matmul(t1, realization.link(1, q).swapaxes(-1, -2)),
+                            ag.matmul(t2, realization.link(2, q).swapaxes(-1, -2))], axis=-2)
                  for q in (1, 2))
 
 
@@ -344,7 +360,7 @@ class Emnn:
         for p, q in ch.LINK_ORDER:
             expect = (math.prod(geom.terminal(q).channel_grids[1]),
                       math.prod(geom.terminal(p).channel_grids[0]))
-            got = realization.link(p, q).shape
+            got = realization.link(p, q).shape[-2:]
             if got != expect:
                 raise ArchitectureError(
                     f"link ({p},{q}) shape {got} does not match model {expect}")
@@ -362,7 +378,9 @@ class Emnn:
 
         `noise_override` takes pre-drawn complex noise (one array per
         terminal) so a caller can freeze the whole forward for gradient
-        checks; otherwise receiver noise is drawn from `rng`.
+        checks; otherwise receiver noise is drawn from `rng`. With a stacked
+        store (ParamStore.stack), bits, powers, noise and realization links
+        carry the leading run axis and so does the output.
         """
         self.check_realization(realization)
         bits = np.asarray(bits, dtype=float)
@@ -372,13 +390,13 @@ class Emnn:
         joint, sent = [], []
         p_alloc = allocate_power(power_dbm, geom, self.params)
         for q, p_q in zip((1, 2), p_alloc):
-            block = bits[:, :n1] if q == 1 else bits[:, n1:]
+            block = bits[..., :n1] if q == 1 else bits[..., n1:]
             raw = tx_dnn_forward(block, self.params, q)
             joint.append(ag.to_complex(power_control(raw, p_q)))
             eye = np.eye(geom.terminal(q).tx_antennas, dtype=complex)
             sent.append(tx_sim_forward(eye, self.tx_factors[q - 1],
                                        self.params.layers(q, "theta")))
-        joint = ag.concat(joint, axis=1)
+        joint = ag.concat(joint, axis=-1)
         fields = channel_layer(sent[0], sent[1], realization)
 
         received = []
@@ -392,13 +410,13 @@ class Emnn:
                 raise ArchitectureError("no rng for the receiver noise")
             else:
                 n_q = ch.draw_noise(ch.dbm_to_watt(self.config.channel.noise_dbm),
-                                    (bits.shape[0], geom.terminal(q).rx_antennas),
+                                    bits.shape[:-1] + (geom.terminal(q).rx_antennas,),
                                     rng)
             r_q = ag.add(r_q, wf.complex_to_pair(n_q))
             received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale),
                                            self.params, q, training))
         # terminal 2 outputs the estimate of stream 1 and vice versa
-        return ag.concat([received[1], received[0]], axis=1)
+        return ag.concat([received[1], received[0]], axis=-1)
 
 
 def export_phase_table(params):

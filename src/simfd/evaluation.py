@@ -120,18 +120,20 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
     return errors, counted, errors / counted
 
 
-def _eval_one_realization(base, source, seed, index, powers, test_scale, label):
-    """Realization, fine-tune and power sweep for one row seed; rows of a
-    diverged fine-tune keep their counts but carry ber = nan."""
-    rng = np.random.default_rng(seed)
-    realization = source.instantaneous(seed)
-    tuned = training.finetune(base, realization, rng)
-    model = emnn.Emnn(source.config, params=tuned.params)
+def _eval_realizations(base, source, seeds, indices, powers, test_scale, label):
+    """Realization, fine-tune and power sweep for each row seed, the
+    fine-tunes trained as one ensemble; rows of a diverged fine-tune keep
+    their counts but carry ber = nan."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    realizations = [source.instantaneous(seed) for seed in seeds]
+    tuned = training.finetune(base, realizations, rngs)
     rows = []
-    for power in powers:
-        errors, bits, ratio = evaluate(model, realization, power, test_scale, rng)
-        rows.append(BerRow(label, float(power), index, seed, bits, errors,
-                           float("nan") if tuned.diverged else ratio))
+    for seed, index, rng, realization, run in zip(seeds, indices, rngs, realizations, tuned):
+        model = emnn.Emnn(source.config, params=run.params)
+        for power in powers:
+            errors, bits, ratio = evaluate(model, realization, power, test_scale, rng)
+            rows.append(BerRow(label, float(power), index, seed, bits, errors,
+                               float("nan") if run.diverged else ratio))
     return rows
 
 
@@ -140,19 +142,17 @@ def monte_carlo_eval(base, master_seed=None):
 
     Everything is read from the checkpoint's config. Each realization gets a
     derived seed covering its channel innovation, the fine-tune batches, and
-    the evaluation symbols; a diverged fine-tune is recorded as failed rows
-    (ber = nan) rather than dropped. Rows reproduce from (checkpoint, row
-    seed) alone.
+    the evaluation symbols; the fine-tunes run as one ensemble, and a
+    diverged fine-tune is recorded as failed rows (ber = nan) rather than
+    dropped. Rows reproduce from (checkpoint, row seed) alone.
     """
     config = base.config
     ev = config.evaluation
     master_seed = ev.seed if master_seed is None else master_seed
-    source = ChannelSource(config)
-    return BerReport([
-        row for index in range(ev.monte_carlo)
-        for row in _eval_one_realization(
-            base, source, derive_seed(master_seed, index), index,
-            ev.power_sweep_dbm, ev.test_scale, config.label)])
+    return BerReport(_eval_realizations(
+        base, ChannelSource(config),
+        [derive_seed(master_seed, index) for index in range(ev.monte_carlo)],
+        range(ev.monte_carlo), ev.power_sweep_dbm, ev.test_scale, config.label))
 
 
 def rerun_row(base, row):
@@ -165,8 +165,8 @@ def rerun_row(base, row):
     powers = [float(p) for p in config.evaluation.power_sweep_dbm]
     if row.power_dbm not in powers:
         raise ValueError(f"power {row.power_dbm} not in the configured sweep")
-    return _eval_one_realization(
-        base, ChannelSource(config), row.seed, row.realization,
+    return _eval_realizations(
+        base, ChannelSource(config), [row.seed], [row.realization],
         powers[:powers.index(row.power_dbm) + 1], config.evaluation.test_scale,
         row.label)[-1]
 

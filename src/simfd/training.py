@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import emnn
-from .channel import ChannelSource, derive_seed
+from .channel import ChannelRealization, ChannelSource, dbm_to_watt, derive_seed, draw_noise
 from .config import config_from_dict
 
 CHECKPOINT_MAGIC = b"SIMFDCKP"
@@ -25,7 +25,12 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss or gradient encountered."""
+    """Non-finite loss or gradient encountered; `runs` lists the runs of an
+    ensemble at fault."""
+
+    def __init__(self, message, runs):
+        super().__init__(message)
+        self.runs = runs
 
 
 class CheckpointError(ValueError):
@@ -37,24 +42,34 @@ class CheckpointError(ValueError):
 # ---------------------------------------------------------------------------
 
 def bce_loss(bits, soft):
-    """Binary cross-entropy, summed over bits, averaged over the batch."""
+    """Binary cross-entropy, summed over bits, averaged over the batch; one
+    loss per run for a stack of runs (R, B, n)."""
     b = np.asarray(bits, dtype=float)
     if b.shape != soft.data.shape:
         raise ag.GraphError(f"bit block {b.shape} vs soft output {soft.data.shape}")
     hit = ag.hadamard(b, ag.log(soft))
     miss = ag.hadamard(1.0 - b, ag.log(ag.sub(1.0, soft)))
-    return ag.scale(ag.reduce_sum(ag.add(hit, miss)), -1.0 / b.shape[0])
+    return ag.scale(ag.reduce_sum(ag.add(hit, miss), axis=(-2, -1)), -1.0 / b.shape[-2])
+
+
+def _bias(beta, step):
+    """Adam's bias correction 1 - beta**step; per-run steps (R,) give a column
+    (R, 1), by Python's pow (numpy's vector power can miss it by an ulp)."""
+    if np.ndim(step) == 0:
+        return 1.0 - beta ** step
+    return np.array([[1.0 - beta ** int(s)] for s in step])
 
 
 def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                weight_decay=0.0):
-    """One decoupled-weight-decay Adam update, in place on `data`, `m`, `v`."""
+    """One decoupled-weight-decay Adam update, in place on `data`, `m`, `v`;
+    with per-run steps (R,), the arrays hold one run per row."""
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
     v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
+    m_hat = m / _bias(beta1, step)
+    v_hat = v / _bias(beta2, step)
     update = m_hat / (np.sqrt(v_hat) + eps)
     if weight_decay:
         update = update + weight_decay * data
@@ -65,10 +80,12 @@ class AdamW:
     """AdamW over a ParamStore, one vectorized update per step.
 
     Steps the store's flat buffer, its moments `m` and `v` and its step count
-    in place. Weight decay covers the buffer's decayed prefix (the weight
-    matrices); phase vectors, biases and batchnorm parameters are excluded
-    from it. A non-finite gradient anywhere raises TrainingDiverged before
-    any of the store moves.
+    in place; an ensemble store steps all its runs at once. Weight decay
+    covers the buffer's decayed prefix (the weight matrices); phase vectors,
+    biases and batchnorm parameters are excluded from it. A non-finite
+    gradient anywhere raises TrainingDiverged, naming the runs at fault,
+    before any of the store moves. `params` may be replaced by a store of
+    the same table.
     """
 
     def __init__(self, params, weight_decay=1e-4):
@@ -79,14 +96,17 @@ class AdamW:
     def step(self, lr):
         params = self.params
         grad = params.flat_grad()
-        if not np.isfinite(grad).all():
+        finite = np.isfinite(grad).all(axis=-1)
+        if not finite.all():
             name = next(name for name, t in params.named_tensors().items()
                         if t.grad is not None and not np.isfinite(t.grad).all())
-            raise TrainingDiverged(f"non-finite gradient in {name}")
-        params.step += 1
+            raise TrainingDiverged(f"non-finite gradient in {name}",
+                                   np.flatnonzero(~finite))
+        # rebound, not incremented in place: copies may share a run's steps
+        params.step = params.step + 1
         for span, wd in self._spans:
-            adamw_step(params.flat[span], grad[span], params.m[span], params.v[span],
-                       params.step, lr, weight_decay=wd)
+            adamw_step(params.flat[..., span], grad[..., span], params.m[..., span],
+                       params.v[..., span], params.step, lr, weight_decay=wd)
 
 
 def lr_schedule(epoch, train_config):
@@ -262,50 +282,98 @@ def _assemble_checkpoint(header, payload):
 # training loops
 # ---------------------------------------------------------------------------
 
-def _fit(model, opt, rng, epochs, lr_at, realization_at):
-    """The epoch loop of base training and fine-tuning.
-
-    Per epoch: the lr, a channel realization, one fresh batch, forward,
-    BCE, backward, AdamW step. A non-finite loss or gradient stops the loop
-    and marks the run diverged. Returns the checkpoint of the last good
-    state: the diverging step's forward has already moved the batchnorm
-    running statistics, so they are put back.
+def _step(model, opt, draws, lr):
+    """One forward, BCE, backward and AdamW step of an ensemble on its runs'
+    (realization, batch, noise) draws: (the per-run losses, a mask of the
+    runs whose loss or gradient is non-finite). With any such run, no run moves:
+    the batchnorm statistics are put back and the optimizer has not stepped.
     """
-    history = []
-    diverged = False
-    for epoch in range(epochs):
-        lr = lr_at(epoch)
-        realization = realization_at()
-        block = sample_batch(rng, model.config)
-        stats = model.params.stats.copy()
-        soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
-                             training=True)
-        loss = bce_loss(block.bits, soft)
-        value = float(loss.data)
-        diverged = not np.isfinite(value)
-        if not diverged:
-            ag.backward(loss)
-            try:
-                opt.step(lr)
-            except TrainingDiverged:
-                diverged = True
-        if diverged:
-            model.params.stats[...] = stats
-            break
-        history.append((epoch, value, lr))
-    return Checkpoint(model.config, model.params, rng.bit_generator.state, history,
-                      len(history), diverged)
+    realizations, blocks, noise = zip(*draws)
+    bits = np.stack([b.bits for b in blocks])
+    stats = opt.params.stats.copy()
+    soft = model.forward(bits, np.stack([b.power_dbm for b in blocks]),
+                         ChannelRealization.stack(realizations), training=True,
+                         noise_override=[np.stack(n) for n in zip(*noise)])
+    losses = bce_loss(bits, soft)
+    bad = ~np.isfinite(losses.data)
+    if not bad.any():
+        ag.backward(ag.reduce_sum(losses))
+        try:
+            opt.step(lr)
+        except TrainingDiverged as exc:
+            bad[exc.runs] = True
+    if bad.any():
+        opt.params.stats[...] = stats
+    return losses, bad
 
 
-def _train_run(config, source, seed, epochs, frozen=None):
-    """One optimization run from a fresh init; statistical draws unless a
-    frozen realization is given."""
-    rng = np.random.default_rng(seed)
-    model = emnn.Emnn(config, rng=rng)
+def _fit(model, rngs, epochs, lr_at, realization_at):
+    """The epoch loop of base training and fine-tuning, over an ensemble.
+
+    `model.params` stacks one run per generator in `rngs` (emnn.ParamStore),
+    and `realization_at(r)` is run r's channel realization for an epoch.
+    Per epoch, each run draws from its own generator, in this order: its
+    realization, one fresh batch, the receiver noise of terminal 1, then
+    that of terminal 2. All runs then take one forward, BCE, backward and
+    AdamW step together; no op mixes runs, so each run takes the steps it
+    would take alone. A run whose loss or gradient is non-finite leaves the
+    ensemble as diverged, in its last good state, and the others redo the
+    step from the same draws. Returns one checkpoint per run, in order.
+    """
+    config = model.config
     opt = AdamW(model.params, weight_decay=config.training.weight_decay)
-    return _fit(
-        model, opt, rng, epochs, lambda epoch: lr_schedule(epoch, config.training),
-        (lambda: frozen) if frozen is not None else (lambda: source.statistical(rng)))
+    noise_var = dbm_to_watt(config.channel.noise_dbm)
+    batch = config.training.batch_size
+    live = list(range(len(rngs)))           # the ensemble's runs, in store order
+    history = [[] for _ in rngs]
+    done = [None] * len(rngs)
+
+    def finish(position, diverged):
+        run = live[position]
+        done[run] = Checkpoint(config, opt.params.run(position),
+                               rngs[run].bit_generator.state, history[run],
+                               len(history[run]), diverged)
+
+    for epoch in range(epochs):
+        if not live:
+            break
+        lr = lr_at(epoch)
+        draws = [(realization_at(r), sample_batch(rngs[r], config),
+                  [draw_noise(noise_var, (batch, n), rngs[r])
+                   for n in config.geometry.rx_antennas]) for r in live]
+        # the last step's graph goes only after this step's draws: freed at
+        # the end of its step, it left the heap top free for malloc to hand
+        # back, and every step faulted it in again (135k faults per base run)
+        losses = None
+        losses, bad = _step(model, opt, draws, lr)
+        while bad.any():
+            for position in np.flatnonzero(bad):
+                finish(position, True)
+            keep = np.flatnonzero(~bad)
+            live, draws = [live[i] for i in keep], [draws[i] for i in keep]
+            if not live:
+                break
+            model.params = opt.params = emnn.ParamStore.stack(
+                [opt.params.run(i) for i in keep])
+            losses, bad = _step(model, opt, draws, lr)
+        for r, value in zip(live, losses.data):
+            history[r].append((epoch, float(value), lr))
+    for position in range(len(live)):
+        finish(position, False)
+    return done
+
+
+def _train_runs(config, source, seeds, epochs, frozen=None):
+    """Optimization runs from fresh inits, one per seed, trained as one
+    ensemble; statistical draws unless frozen realizations (one per seed)
+    are given."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    model = emnn.Emnn(config, params=emnn.ParamStore.stack(
+        [emnn.init_params(config, rng) for rng in rngs]))
+    tc = config.training
+    return _fit(model, rngs, epochs, lambda epoch: lr_schedule(epoch, tc),
+                (lambda r: frozen[r]) if frozen is not None
+                else (lambda r: source.statistical(rngs[r])))
 
 
 def train_base(config, seed=None, epochs=None):
@@ -314,27 +382,22 @@ def train_base(config, seed=None, epochs=None):
     Per epoch: one fresh batch, one fresh statistical channel draw (the
     innovation around the experiment's persistent component is redrawn,
     shadowing included), forward, BCE, backward, AdamW step. With restarts
-    configured, independent runs are trained and the one with the lowest
-    final smoothed training loss is kept. A non-finite loss or gradient
-    aborts the run and returns the last good state.
+    configured, independent runs are trained as one ensemble and the one
+    with the lowest final smoothed training loss is kept, the earliest on a
+    tie. A non-finite loss or gradient aborts the run and returns the last
+    good state.
     """
     if seed is not None and seed != config.training.seed:
         config = replace(config, training=replace(config.training, seed=seed))
     tc = config.training
-    seed = tc.seed
     epochs = tc.epochs if epochs is None else epochs
-    source = ChannelSource(config)
-    best = None
-    best_score = np.inf
-    for restart in range(tc.restarts):
-        run_seed = seed if restart == 0 else derive_seed(seed, 0x52535452 + restart)
-        run = _train_run(config, source, run_seed, epochs)
-        tail = [h[1] for h in run.history[-50:]] or [np.inf]
-        score = float(np.mean(tail)) if not run.diverged else np.inf
-        if score < best_score or best is None:
-            best_score = score
-            best = run
-    return best
+    runs = _train_runs(config, ChannelSource(config),
+                       [tc.seed if restart == 0 else derive_seed(tc.seed, 0x52535452 + restart)
+                        for restart in range(tc.restarts)], epochs)
+    scores = [np.inf if run.diverged else
+              float(np.mean([h[1] for h in run.history[-50:]] or [np.inf]))
+              for run in runs]
+    return runs[scores.index(min(scores))]
 
 
 def finetune(base, realization, rng, epochs=None):
@@ -343,19 +406,24 @@ def finetune(base, realization, rng, epochs=None):
     All parameters stay trainable and batchnorm running statistics keep
     updating; only the channel layer is pinned to `realization`. The
     optimizer continues from the base run's moments and step count, which
-    the copied store carries.
+    the copied store carries. Given a list of realizations and one of
+    generators, fine-tunes one copy of the base per pair as one ensemble
+    (see _fit) and returns their checkpoints, in order.
     """
     config = base.config
     tc = config.training
     epochs = tc.finetune_epoch_count if epochs is None else epochs
-    model = emnn.Emnn(config, params=base.params.copy())
-    try:
-        model.check_realization(realization)
-    except emnn.ArchitectureError as exc:
-        raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
-    opt = AdamW(model.params, weight_decay=tc.weight_decay)
-    return _fit(model, opt, rng, epochs, lambda epoch: tc.finetune_learning_rate,
-                lambda: realization)
+    single = not isinstance(realization, list)
+    realizations, rngs = ([realization], [rng]) if single else (realization, rng)
+    model = emnn.Emnn(config, params=emnn.ParamStore.stack([base.params] * len(rngs)))
+    for each in realizations:
+        try:
+            model.check_realization(each)
+        except emnn.ArchitectureError as exc:
+            raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
+    runs = _fit(model, rngs, epochs, lambda epoch: tc.finetune_learning_rate,
+                lambda r: realizations[r])
+    return runs[0] if single else runs
 
 
 def smoothed(series, window=50):

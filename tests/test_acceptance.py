@@ -234,18 +234,18 @@ def test_training_efficacy(mini, mini_base):
 
 def test_transfer_learning_acceleration(mini, mini_base):
     source = ch.ChannelSource(mini)
+    rseeds = [ev.derive_seed(mini.evaluation.seed, 100 + i) for i in range(5)]
+    realizations = [source.instantaneous(rseed) for rseed in rseeds]
+    scratches = training._train_runs(mini, None, [7 + i for i in range(5)],
+                                     mini.training.epochs, frozen=realizations)
+    tunes = training.finetune(mini_base, realizations,
+                              [np.random.default_rng(rseed) for rseed in rseeds],
+                              epochs=mini.training.epochs)
     ratios = []
-    for i in range(5):
-        rseed = ev.derive_seed(mini.evaluation.seed, 100 + i)
-        realization = source.instantaneous(rseed)
-        scratch = training._train_run(mini, None, 7 + i, mini.training.epochs,
-                                      frozen=realization)
+    for scratch, tuned in zip(scratches, tunes):
         sm_scratch = training.smoothed([h[1] for h in scratch.history], 50)
         target = sm_scratch[-1]
         needed = next(j + 1 for j, v in enumerate(sm_scratch) if v <= target)
-        tuned = training.finetune(mini_base, realization,
-                                  np.random.default_rng(rseed),
-                                  epochs=mini.training.epochs)
         sm_ft = training.smoothed([h[1] for h in tuned.history], 50)
         crossed = next((j + 1 for j, v in enumerate(sm_ft) if v <= target), 10 ** 9)
         ratios.append(crossed / needed)

@@ -515,6 +515,51 @@ class TestOperatorFirst:
         assert max(shape[0] for _, shape in shapes) == sum(mini.geometry.tx_antennas)
 
 
+class TestRunAxis:
+    @pytest.mark.parametrize("train_mode", [True, False])
+    @pytest.mark.parametrize("case", ["reference", "mini", "lopsided",
+                                      "conventional"])
+    def test_stacked_forward_equals_each_run(self, case, train_mode):
+        cfg = operator_cases()[case]
+        rng = np.random.default_rng(41)
+        runs = [emnn.init_params(cfg, rng) for _ in range(3)]
+        for params in runs:
+            # distinct running statistics, which eval mode reads
+            params.stats[...] = rng.uniform(0.5, 2.0, params.stats.shape)
+        source = ch.ChannelSource(cfg)
+        realizations = [source.instantaneous(i) for i in range(3)]
+        batch = 16
+        bits = rng.integers(0, 2, (3, batch, cfg.total_bits)).astype(float)
+        power = rng.uniform(20.0, 30.0, (3, batch))
+        noise = [ch.draw_noise(ch.dbm_to_watt(cfg.channel.noise_dbm), (3, batch, n), rng)
+                 for n in cfg.geometry.rx_antennas]
+        stacked = emnn.Emnn(cfg, params=emnn.ParamStore.stack(runs))
+        soft = stacked.forward(bits, power, ch.ChannelRealization.stack(realizations),
+                               training=train_mode, noise_override=noise)
+        ag.backward(ag.reduce_sum(training.bce_loss(bits, soft)))
+        grads = stacked.params.flat_grad()
+        for r, params in enumerate(runs):
+            one = emnn.Emnn(cfg, params=params).forward(
+                bits[r], power[r], realizations[r], training=train_mode,
+                noise_override=[n[r] for n in noise])
+            ag.backward(training.bce_loss(bits[r], one))
+            assert np.array_equal(soft.data[r], one.data)
+            assert np.array_equal(stacked.params.stats[r], params.stats)
+            assert np.array_equal(grads[r], params.flat_grad())
+
+    def test_run_copies_one_run_out(self, mini):
+        rng = np.random.default_rng(42)
+        runs = [emnn.init_params(mini, rng) for _ in range(2)]
+        runs[1].step = 7
+        stacked = emnn.ParamStore.stack(runs)
+        for r, params in enumerate(runs):
+            out = stacked.run(r)
+            for buffer in ("flat", "stats", "m", "v"):
+                assert np.array_equal(getattr(out, buffer), getattr(params, buffer))
+            assert out.step == params.step and type(out.step) is int
+            assert not np.shares_memory(out.flat, stacked.flat)
+
+
 class TestPhaseExport:
     def test_table_format_and_range(self, mini_model):
         text = emnn.export_phase_table(mini_model.params)

@@ -10,7 +10,7 @@ import simfd.autograd as ag
 import simfd.emnn as emnn
 import simfd.training as training
 from dataclasses import replace
-from simfd.channel import ChannelSource
+from simfd.channel import ChannelRealization, ChannelSource, derive_seed
 from simfd.config import miniature_config
 
 
@@ -221,6 +221,45 @@ class TestSampleBatch:
         assert np.array_equal(a.power_dbm, b.power_dbm)
 
 
+def sequential_fit(config, params, rng, epochs, lr_at, realization_at):
+    """One run alone on 2-D arrays, its noise drawn inside the forward: the
+    epoch loop that every run of an ensemble must reproduce bit for bit."""
+    model = emnn.Emnn(config, params=params)
+    opt = training.AdamW(params, weight_decay=config.training.weight_decay)
+    history, diverged = [], False
+    for epoch in range(epochs):
+        lr = lr_at(epoch)
+        realization = realization_at()
+        block = training.sample_batch(rng, config)
+        stats = params.stats.copy()
+        soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
+                             training=True)
+        loss = training.bce_loss(block.bits, soft)
+        value = float(loss.data)
+        diverged = not np.isfinite(value)
+        if not diverged:
+            ag.backward(loss)
+            try:
+                opt.step(lr)
+            except training.TrainingDiverged:
+                diverged = True
+        if diverged:
+            params.stats[...] = stats
+            break
+        history.append((epoch, value, lr))
+    return training.Checkpoint(config, params, rng.bit_generator.state, history,
+                               len(history), diverged)
+
+
+def assert_same_run(got, want):
+    for buffer in ("flat", "stats", "m", "v"):
+        assert np.array_equal(getattr(got.params, buffer), getattr(want.params, buffer))
+    assert got.params.step == want.params.step
+    assert got.rng_state == want.rng_state
+    assert got.history == want.history
+    assert (got.epoch, got.diverged) == (want.epoch, want.diverged)
+
+
 class TestTrainBase:
     def test_initial_loss_near_entropy_floor(self, quick_checkpoint, quick_config):
         floor = quick_config.total_bits * np.log(2)
@@ -247,8 +286,59 @@ class TestTrainBase:
         assert ck.epoch == len(ck.history) == ck.params.step
         assert np.isfinite(ck.params.flat).all()
 
+    def test_every_restart_equals_its_sequential_run(self, quick_config):
+        cfg = replace(quick_config, training=replace(quick_config.training,
+                                                     epochs=30, restarts=3))
+        tc = cfg.training
+        seeds = [tc.seed] + [derive_seed(tc.seed, 0x52535452 + r) for r in (1, 2)]
+        source = ChannelSource(cfg)
+        ensemble = training._train_runs(cfg, source, seeds, tc.epochs)
+        for seed, run in zip(seeds, ensemble):
+            rng = np.random.default_rng(seed)
+            assert_same_run(run, sequential_fit(
+                cfg, emnn.init_params(cfg, rng), rng, tc.epochs,
+                lambda epoch: training.lr_schedule(epoch, tc),
+                lambda: source.statistical(rng)))
+        scores = [np.mean([h[1] for h in run.history[-50:]]) for run in ensemble]
+        assert_same_run(training.train_base(cfg), ensemble[int(np.argmin(scores))])
+
+    @pytest.mark.parametrize("losses, kept", [
+        ([[3.0], [2.0], [2.0]], 1),           # a tie goes to the earliest restart
+        ([[1.0, 5.0], [1.0, 2.0], [4.0]], 1),  # scored on the mean of the tail
+        ([None, [9.0], [9.0]], 1),            # a diverged run is never kept
+        ([None, None, None], 0),
+    ])
+    def test_best_restart_is_kept(self, quick_config, monkeypatch, losses, kept):
+        runs = [training.Checkpoint(quick_config, None, {}, [(e, v, 0.1)
+                                    for e, v in enumerate(history or [0.0])],
+                                    len(history or []), history is None)
+                for history in losses]
+        monkeypatch.setattr(training, "_train_runs", lambda *args: runs)
+        assert training.train_base(quick_config) is runs[kept]
+
 
 class TestFinetune:
+    def test_ensemble_equals_single_runs(self, quick_checkpoint, quick_config):
+        # run 1's links are scaled up until a gradient overflows in a later
+        # epoch; runs 0 and 2 train on
+        source = ChannelSource(quick_config)
+        realizations = [source.instantaneous(i) for i in range(3)]
+        realizations[1] = ChannelRealization({key: link * 10.0 ** 305.52 for key, link
+                                              in realizations[1].links.items()})
+        singles = [training.finetune(quick_checkpoint, real, np.random.default_rng(i),
+                                     epochs=12) for i, real in enumerate(realizations)]
+        assert [run.diverged for run in singles] == [False, True, False]
+        assert singles[1].epoch > 0
+        ensemble = training.finetune(quick_checkpoint, realizations,
+                                     [np.random.default_rng(i) for i in range(3)],
+                                     epochs=12)
+        tc = quick_config.training
+        for i, (run, single, real) in enumerate(zip(ensemble, singles, realizations)):
+            assert_same_run(run, single)
+            assert_same_run(run, sequential_fit(
+                quick_config, quick_checkpoint.params.copy(), np.random.default_rng(i), 12,
+                lambda epoch: tc.finetune_learning_rate, lambda: real))
+
     def test_zero_epochs_leaves_params_unchanged(self, quick_checkpoint,
                                                  quick_config):
         real = ChannelSource(quick_config).instantaneous(3)
