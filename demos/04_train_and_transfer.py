@@ -31,13 +31,16 @@ seed = ev.derive_seed(cfg.evaluation.seed, 0)
 realization = source.instantaneous(seed)
 
 print("\nfine-tuning on one frozen realization...")
-tuned = training.finetune(base, realization, np.random.default_rng(seed))
+[tuned] = training.finetune(base, [realization], [np.random.default_rng(seed)])
 ft_sm = training.smoothed([h[1] for h in tuned.history], 50)
 print(f"  fine-tune loss: start = {ft_sm[0]:.3f}, final = {ft_sm[-1]:.3f}")
 
 print("training the same realization from scratch for comparison...")
-scratch, = training._train_runs(cfg, None, [7], cfg.training.epochs,
-                                frozen=[realization])
+rngs = [np.random.default_rng(7)]
+model = emnn.Emnn(cfg, params=emnn.ParamStore.stack([emnn.init_params(cfg, rngs[0])]))
+[scratch] = training.fit(model, rngs, cfg.training.epochs,
+                         lambda epoch: training.lr_schedule(epoch, cfg.training),
+                         lambda r: realization)
 scratch_sm = training.smoothed([h[1] for h in scratch.history], 50)
 print(f"  from-scratch loss after {len(scratch_sm)} epochs = {scratch_sm[-1]:.3f}")
 print(f"  the fine-tune started below that after "

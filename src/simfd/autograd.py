@@ -450,7 +450,11 @@ def phase_shift(x, theta):
     if x.data.ndim < 2 or theta.data.shape[-1] != x.data.shape[-1]:
         raise GraphError(f"phase length {theta.data.shape} does not match input {x.data.shape}")
     rot = np.exp(1j * theta.data)[..., None, :]
-    y = x.data * rot
+    # x takes the product's shape first, so every shape pair runs one numpy
+    # kernel: complex (1, 1) by (1, 1, 1) takes another, whose last bits
+    # would set a one-unit run at R = 1 apart from the same run in an ensemble
+    shape = np.broadcast(x.data, rot).shape
+    y = (x.data if x.data.shape == shape else np.broadcast_to(x.data, shape)) * rot
 
     def bw(out):
         if theta.requires_grad:

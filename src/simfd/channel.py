@@ -124,6 +124,13 @@ def draw_noise(variance_linear, size, rng):
     return std * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
+def receiver_noise(config, rows, rng):
+    """One batch's receiver noise at a SystemConfig's noise power, (rows, N_q)
+    per terminal: terminal 1's draw, then terminal 2's."""
+    variance = dbm_to_watt(config.channel.noise_dbm)
+    return [draw_noise(variance, (rows, n), rng) for n in config.geometry.rx_antennas]
+
+
 @lru_cache(maxsize=16)
 def correlation_bundle(geom):
     """Correlation matrices and PSD roots for both terminals (cached), on

@@ -18,8 +18,8 @@ from . import emnn
 from . import evaluation as ev
 from . import training
 from . import wavefield as wf
-from .channel import (LINK_ORDER, ChannelSource, correlation_bundle, dbm_to_watt,
-                      derive_seed, draw_noise, realize_channels)
+from .channel import (LINK_ORDER, ChannelSource, correlation_bundle, derive_seed,
+                      realize_channels, receiver_noise)
 from .config import PRESETS, ConfigError, load_config
 
 
@@ -50,9 +50,7 @@ def full_grad_check(config, seed=0, batch=8, h=1e-6, power_dbm=10.0):
         realization = realize_channels(config, rng)
         bits = rng.integers(0, 2, (batch, config.total_bits)).astype(float)
         powers = np.full(batch, power_dbm)
-        noise_var = dbm_to_watt(config.channel.noise_dbm)
-        frozen_noise = [draw_noise(noise_var, (batch, n), rng)
-                        for n in config.geometry.rx_antennas]
+        frozen_noise = receiver_noise(config, batch, rng)
 
         def builder():
             soft = model.forward(bits, powers, realization, training=True,
@@ -129,7 +127,7 @@ def cmd_train_base(args):
 def cmd_finetune(args):
     base = training.load_checkpoint(args.checkpoint)
     real_seed, rng, realization = _realization(base.config, args)
-    ck = training.finetune(base, realization, rng)
+    [ck] = training.finetune(base, [realization], [rng])
     out = _out_dir(args)
     path = out / "finetune.ckpt"
     training.save_checkpoint(ck, path)

@@ -175,9 +175,6 @@ class ParamStore:
         batchnorm layers ("bn") as (gamma, beta, (running mean, running var))."""
         return self._layers[q, kind]
 
-    def named_tensors(self):
-        return self.tensors
-
     def trainables(self):
         return list(self.tensors.values())
 
@@ -365,8 +362,7 @@ class Emnn:
                 raise ArchitectureError(
                     f"link ({p},{q}) shape {got} does not match model {expect}")
 
-    def forward(self, bits, power_dbm, realization, rng=None, training=True,
-                noise_override=None):
+    def forward(self, bits, power_dbm, realization, noise_override, training=True):
         """Soft estimates of the full bit block, aligned with [b1 | b2].
 
         The TX-DNNs and power control act on the batch. tx stack ->
@@ -376,11 +372,10 @@ class Emnn:
         antennas in one matmul. Receiver noise, the front-end gain and the
         RX-DNNs then act on the paired batch.
 
-        `noise_override` takes pre-drawn complex noise (one array per
-        terminal) so a caller can freeze the whole forward for gradient
-        checks; otherwise receiver noise is drawn from `rng`. With a stacked
-        store (ParamStore.stack), bits, powers, noise and realization links
-        carry the leading run axis and so does the output.
+        The forward draws nothing: `noise_override` is the receiver noise,
+        one complex array per terminal (channel.receiver_noise draws it).
+        With a stacked store (ParamStore.stack), bits, powers, noise and
+        realization links carry the leading run axis and so does the output.
         """
         self.check_realization(realization)
         bits = np.asarray(bits, dtype=float)
@@ -403,16 +398,8 @@ class Emnn:
         for q, f_q in zip((1, 2), fields):
             h_q = rx_sim_forward(f_q, self.rx_factors[q - 1],
                                  self.params.layers(q, "xi"))
-            r_q = ag.to_pair(ag.matmul(joint, h_q))
-            if noise_override is not None:
-                n_q = noise_override[q - 1]
-            elif rng is None:
-                raise ArchitectureError("no rng for the receiver noise")
-            else:
-                n_q = ch.draw_noise(ch.dbm_to_watt(self.config.channel.noise_dbm),
-                                    bits.shape[:-1] + (geom.terminal(q).rx_antennas,),
-                                    rng)
-            r_q = ag.add(r_q, wf.complex_to_pair(n_q))
+            r_q = ag.add(ag.to_pair(ag.matmul(joint, h_q)),
+                         wf.complex_to_pair(noise_override[q - 1]))
             received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale),
                                            self.params, q, training))
         # terminal 2 outputs the estimate of stream 1 and vice versa

@@ -18,7 +18,7 @@ from . import autograd as ag
 from . import config as cfg_mod
 from . import emnn
 from . import training
-from .channel import ChannelSource, derive_seed
+from .channel import ChannelSource, derive_seed, receiver_noise
 
 
 def ber(bits, decided):
@@ -109,9 +109,10 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
         if remaining - n == 1:
             n += 1  # fold a lone leftover symbol into this batch
         bits = rng.integers(0, 2, (n, total_bits)).astype(float)
+        noise = receiver_noise(model.config, n, rng)
         with ag.no_grad():
             soft = model.forward(bits, np.full(n, float(power_dbm)), realization,
-                                 rng=rng, training=False)
+                                 noise, training=False)
         decided = emnn.hard_decision(soft)
         e, t, _ = ber(bits, decided)
         errors += e

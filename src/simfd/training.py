@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import emnn
-from .channel import ChannelRealization, ChannelSource, dbm_to_watt, derive_seed, draw_noise
+from .channel import ChannelRealization, ChannelSource, derive_seed, receiver_noise
 from .config import config_from_dict
 
 CHECKPOINT_MAGIC = b"SIMFDCKP"
@@ -98,7 +98,7 @@ class AdamW:
         grad = params.flat_grad()
         finite = np.isfinite(grad).all(axis=-1)
         if not finite.all():
-            name = next(name for name, t in params.named_tensors().items()
+            name = next(name for name, t in params.tensors.items()
                         if t.grad is not None and not np.isfinite(t.grad).all())
             raise TrainingDiverged(f"non-finite gradient in {name}",
                                    np.flatnonzero(~finite))
@@ -307,7 +307,7 @@ def _step(model, opt, draws, lr):
     return losses, bad
 
 
-def _fit(model, rngs, epochs, lr_at, realization_at):
+def fit(model, rngs, epochs, lr_at, realization_at):
     """The epoch loop of base training and fine-tuning, over an ensemble.
 
     `model.params` stacks one run per generator in `rngs` (emnn.ParamStore),
@@ -318,11 +318,11 @@ def _fit(model, rngs, epochs, lr_at, realization_at):
     AdamW step together; no op mixes runs, so each run takes the steps it
     would take alone. A run whose loss or gradient is non-finite leaves the
     ensemble as diverged, in its last good state, and the others redo the
-    step from the same draws. Returns one checkpoint per run, in order.
+    step from the same draws. `lr_at(epoch)` is the epoch's learning rate.
+    Returns one checkpoint per run, in order.
     """
     config = model.config
     opt = AdamW(model.params, weight_decay=config.training.weight_decay)
-    noise_var = dbm_to_watt(config.channel.noise_dbm)
     batch = config.training.batch_size
     live = list(range(len(rngs)))           # the ensemble's runs, in store order
     history = [[] for _ in rngs]
@@ -339,8 +339,7 @@ def _fit(model, rngs, epochs, lr_at, realization_at):
             break
         lr = lr_at(epoch)
         draws = [(realization_at(r), sample_batch(rngs[r], config),
-                  [draw_noise(noise_var, (batch, n), rngs[r])
-                   for n in config.geometry.rx_antennas]) for r in live]
+                  receiver_noise(config, batch, rngs[r])) for r in live]
         # the last step's graph goes only after this step's draws: freed at
         # the end of its step, it left the heap top free for malloc to hand
         # back, and every step faulted it in again (135k faults per base run)
@@ -363,19 +362,6 @@ def _fit(model, rngs, epochs, lr_at, realization_at):
     return done
 
 
-def _train_runs(config, source, seeds, epochs, frozen=None):
-    """Optimization runs from fresh inits, one per seed, trained as one
-    ensemble; statistical draws unless frozen realizations (one per seed)
-    are given."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    model = emnn.Emnn(config, params=emnn.ParamStore.stack(
-        [emnn.init_params(config, rng) for rng in rngs]))
-    tc = config.training
-    return _fit(model, rngs, epochs, lambda epoch: lr_schedule(epoch, tc),
-                (lambda r: frozen[r]) if frozen is not None
-                else (lambda r: source.statistical(rngs[r])))
-
-
 def train_base(config, seed=None, epochs=None):
     """Train the base model against the statistical channel source.
 
@@ -391,39 +377,41 @@ def train_base(config, seed=None, epochs=None):
         config = replace(config, training=replace(config.training, seed=seed))
     tc = config.training
     epochs = tc.epochs if epochs is None else epochs
-    runs = _train_runs(config, ChannelSource(config),
-                       [tc.seed if restart == 0 else derive_seed(tc.seed, 0x52535452 + restart)
-                        for restart in range(tc.restarts)], epochs)
+    source = ChannelSource(config)
+    rngs = [np.random.default_rng(tc.seed if restart == 0
+                                  else derive_seed(tc.seed, 0x52535452 + restart))
+            for restart in range(tc.restarts)]
+    model = emnn.Emnn(config, params=emnn.ParamStore.stack(
+        [emnn.init_params(config, rng) for rng in rngs]))
+    runs = fit(model, rngs, epochs, lambda epoch: lr_schedule(epoch, tc),
+               lambda r: source.statistical(rngs[r]))
     scores = [np.inf if run.diverged else
               float(np.mean([h[1] for h in run.history[-50:]] or [np.inf]))
               for run in runs]
     return runs[scores.index(min(scores))]
 
 
-def finetune(base, realization, rng, epochs=None):
-    """Continue training from a base checkpoint on one frozen realization.
+def finetune(base, realizations, rngs, epochs=None):
+    """Continue training from a base checkpoint, one copy per frozen
+    realization in `realizations`, run r drawing from generator `rngs[r]`.
 
     All parameters stay trainable and batchnorm running statistics keep
-    updating; only the channel layer is pinned to `realization`. The
-    optimizer continues from the base run's moments and step count, which
-    the copied store carries. Given a list of realizations and one of
-    generators, fine-tunes one copy of the base per pair as one ensemble
-    (see _fit) and returns their checkpoints, in order.
+    updating; only the channel layer is pinned to the run's realization.
+    The optimizer continues from the base run's moments and step count,
+    which the copied store carries. The copies train as one ensemble (see
+    fit); returns their checkpoints, in order.
     """
     config = base.config
     tc = config.training
     epochs = tc.finetune_epoch_count if epochs is None else epochs
-    single = not isinstance(realization, list)
-    realizations, rngs = ([realization], [rng]) if single else (realization, rng)
     model = emnn.Emnn(config, params=emnn.ParamStore.stack([base.params] * len(rngs)))
     for each in realizations:
         try:
             model.check_realization(each)
         except emnn.ArchitectureError as exc:
             raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
-    runs = _fit(model, rngs, epochs, lambda epoch: tc.finetune_learning_rate,
-                lambda r: realizations[r])
-    return runs[0] if single else runs
+    return fit(model, rngs, epochs, lambda epoch: tc.finetune_learning_rate,
+               lambda r: realizations[r])
 
 
 def smoothed(series, window=50):

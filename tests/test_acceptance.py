@@ -195,8 +195,8 @@ def test_loss_sanity(mini):
     source = ch.ChannelSource(mini)
     realization = source.instantaneous(11)
     block = training.sample_batch(rng, mini)
-    soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
-                         training=True)
+    soft = model.forward(block.bits, block.power_dbm, realization,
+                         ch.receiver_noise(mini, len(block.bits), rng), training=True)
     loss = float(training.bce_loss(block.bits, soft).data)
     _, _, ber_untrained = ev.evaluate(model, realization, 30.0, 10000,
                                       np.random.default_rng(5))
@@ -218,7 +218,7 @@ def test_training_efficacy(mini, mini_base):
     untrained = emnn.Emnn(mini, rng=np.random.default_rng(6))
     _, _, ber_untrained = ev.evaluate(untrained, realization, 30.0, 10000,
                                       np.random.default_rng(7))
-    tuned = training.finetune(mini_base, realization, np.random.default_rng(seed))
+    [tuned] = training.finetune(mini_base, [realization], [np.random.default_rng(seed)])
     model = emnn.Emnn(mini, params=tuned.params)
     _, _, ber_trained = ev.evaluate(model, realization, 30.0, 10000,
                                     np.random.default_rng(8))
@@ -236,8 +236,12 @@ def test_transfer_learning_acceleration(mini, mini_base):
     source = ch.ChannelSource(mini)
     rseeds = [ev.derive_seed(mini.evaluation.seed, 100 + i) for i in range(5)]
     realizations = [source.instantaneous(rseed) for rseed in rseeds]
-    scratches = training._train_runs(mini, None, [7 + i for i in range(5)],
-                                     mini.training.epochs, frozen=realizations)
+    rngs = [np.random.default_rng(7 + i) for i in range(5)]
+    model = emnn.Emnn(mini, params=emnn.ParamStore.stack(
+        [emnn.init_params(mini, rng) for rng in rngs]))
+    scratches = training.fit(model, rngs, mini.training.epochs,
+                             lambda epoch: training.lr_schedule(epoch, mini.training),
+                             lambda r: realizations[r])
     tunes = training.finetune(mini_base, realizations,
                               [np.random.default_rng(rseed) for rseed in rseeds],
                               epochs=mini.training.epochs)

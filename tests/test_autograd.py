@@ -7,7 +7,7 @@ import pytest
 import simfd.autograd as ag
 import simfd.emnn as emnn
 import simfd.training as training
-from simfd.channel import ChannelSource
+from simfd.channel import ChannelSource, receiver_noise
 from simfd.config import miniature_config
 from paired_real import complex_matmul, phase_diag_apply
 
@@ -132,8 +132,8 @@ def test_no_grad_scope_records_nothing():
 
 def _mini_forward(model, realization, rng):
     bits = rng.integers(0, 2, (16, model.config.total_bits)).astype(float)
-    return model.forward(bits, np.full(16, 25.0), realization, rng=rng,
-                         training=False)
+    return model.forward(bits, np.full(16, 25.0), realization,
+                         receiver_noise(model.config, 16, rng), training=False)
 
 
 def test_no_grad_forward_has_no_parents():

@@ -103,7 +103,7 @@ def init_digest(cfg):
     import hashlib
     params = emnn.init_params(cfg, np.random.default_rng(0))
     h = hashlib.sha256()
-    for name, t in params.named_tensors().items():
+    for name, t in params.tensors.items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(t.data, "<f8").tobytes())
     for name, _, _, _ in params.table:
@@ -144,7 +144,7 @@ class TestParamStore:
             t = params[name]
             assert np.shares_memory(t.data, params.flat)
             assert np.shares_memory(t.data, prefix) == decay
-        assert params.decayed == sum(t.size for n, t in params.named_tensors().items()
+        assert params.decayed == sum(t.size for n, t in params.tensors.items()
                                      if ".w" in n)
 
     def test_copy_is_independent(self, mini_model):
@@ -361,7 +361,7 @@ class TestForwardFull:
         rng = np.random.default_rng(18)
         bits = rng.integers(0, 2, (8, 8)).astype(float)
         soft = mini_model.forward(bits, np.full(8, 20.0), mini_realization,
-                                  rng=rng, training=True)
+                                  ch.receiver_noise(mini_model.config, 8, rng))
         assert soft.data.shape == (8, 8)
 
     def test_deterministic_given_state(self, mini, mini_realization):
@@ -370,7 +370,7 @@ class TestForwardFull:
             model = emnn.Emnn(mini, rng=rng)
             bits = rng.integers(0, 2, (8, 8)).astype(float)
             return model.forward(bits, np.full(8, 20.0), mini_realization,
-                                 rng=rng, training=True).data
+                                 ch.receiver_noise(mini, 8, rng)).data
         assert np.array_equal(once(), once())
 
     def test_realization_shape_mismatch_raises(self, mini, mini_model):
@@ -379,7 +379,7 @@ class TestForwardFull:
         bad = ch.ChannelSource(other).instantaneous(0)
         with pytest.raises(emnn.ArchitectureError):
             mini_model.forward(np.zeros((4, 8)), np.full(4, 10.0), bad,
-                               rng=np.random.default_rng(0))
+                               ch.receiver_noise(mini, 4, np.random.default_rng(0)))
 
     def test_toy_identity_channel_trains_to_exact_recovery(self):
         # noiseless, SI-free 2+2-bit toy on scaled-identity cross links;
@@ -396,27 +396,29 @@ class TestForwardFull:
                  (2, 2): np.zeros((16, 16), complex),
                  (1, 2): eye.astype(complex), (2, 1): eye.astype(complex)}
         real = ch.ChannelRealization(links)
-        noiseless = [np.zeros((cfg.training.batch_size, 4), complex)] * 2
 
-        best_model, best_loss = None, np.inf
-        for seed in (20, 21, 22):
-            model = emnn.Emnn(cfg, rng=np.random.default_rng(seed))
-            opt = training.AdamW(model.params,
-                                 weight_decay=cfg.training.weight_decay)
-            rng = np.random.default_rng(seed + 1000)
-            for epoch in range(600):
-                block = training.sample_batch(rng, cfg)
-                soft = model.forward(block.bits, block.power_dbm, real,
-                                     training=True, noise_override=noiseless)
-                loss = training.bce_loss(block.bits, soft)
-                ag.backward(loss)
-                opt.step(0.01)
-            if float(loss.data) < best_loss:
-                best_loss, best_model = float(loss.data), model
+        # the three seeds train as one stacked store, each on its own batches
+        seeds = (20, 21, 22)
+        model = emnn.Emnn(cfg, params=emnn.ParamStore.stack(
+            [emnn.init_params(cfg, np.random.default_rng(seed)) for seed in seeds]))
+        opt = training.AdamW(model.params, weight_decay=cfg.training.weight_decay)
+        rngs = [np.random.default_rng(seed + 1000) for seed in seeds]
+        reals = ch.ChannelRealization.stack([real] * len(seeds))
+        noiseless = [np.zeros((len(seeds), cfg.training.batch_size, 4), complex)] * 2
+        for epoch in range(600):
+            blocks = [training.sample_batch(rng, cfg) for rng in rngs]
+            bits = np.stack([block.bits for block in blocks])
+            soft = model.forward(bits, np.stack([block.power_dbm for block in blocks]),
+                                 reals, noiseless)
+            losses = training.bce_loss(bits, soft)
+            ag.backward(ag.reduce_sum(losses))
+            opt.step(0.01)
+        # the lowest final loss, the earliest seed on a tie
+        best_model = emnn.Emnn(cfg, params=model.params.run(int(np.argmin(losses.data))))
         rng = np.random.default_rng(99)
         bits = rng.integers(0, 2, (512, 4)).astype(float)
-        soft = best_model.forward(bits, np.full(512, 30.0), real, training=False,
-                                  noise_override=[np.zeros((512, 4), complex)] * 2)
+        soft = best_model.forward(bits, np.full(512, 30.0), real,
+                                  [np.zeros((512, 4), complex)] * 2, training=False)
         assert np.array_equal(emnn.hard_decision(soft), bits.astype(np.int64))
 
 
@@ -468,7 +470,7 @@ class TestOperatorFirst:
                                      noise_override=noise)
             ag.backward(training.bce_loss(bits, soft))
             grads = {k: t.grad.copy()
-                     for k, t in model.params.named_tensors().items()}
+                     for k, t in model.params.tensors.items()}
             results.append((soft.data, grads))
         (soft, grads), (want, want_grads) = results
 
@@ -492,7 +494,7 @@ class TestOperatorFirst:
         rng = np.random.default_rng(43)
         bits = rng.integers(0, 2, (batch, model.config.total_bits)).astype(float)
         soft = model.forward(bits, np.full(batch, 25.0), realization,
-                             rng=rng, training=True)
+                             ch.receiver_noise(model.config, batch, rng))
         ag.backward(training.bce_loss(bits, soft))
         monkeypatch.undo()
         seen, shapes = set(), []

@@ -13,7 +13,7 @@ import simfd.cli as cli
 import simfd.emnn as emnn
 import simfd.evaluation as ev
 import simfd.training as training
-from simfd.channel import ChannelSource, derive_seed
+from simfd.channel import ChannelSource, derive_seed, receiver_noise
 from simfd.config import (ChannelConfig, ConfigError, config_from_dict,
                           miniature_config, reference_config, save_config)
 
@@ -105,8 +105,8 @@ class TestEvaluate:
         errors = counted = 0
         for n in (256, 244):
             bits = rng.integers(0, 2, (n, quick_config.total_bits)).astype(float)
-            soft = model.forward(bits, np.full(n, 20.0), real, rng=rng,
-                                 training=False)
+            soft = model.forward(bits, np.full(n, 20.0), real,
+                                 receiver_noise(quick_config, n, rng), training=False)
             assert soft.requires_grad  # a graph-recording forward
             e, t, _ = ev.ber(bits, emnn.hard_decision(soft))
             errors += e
@@ -241,7 +241,7 @@ class TestBaselineConventional:
     def test_no_phase_parameters(self, quick_config):
         base = ev.baseline_conventional(quick_config)
         params = emnn.init_params(base, np.random.default_rng(0))
-        names = params.named_tensors()
+        names = params.tensors
         assert not any(".theta" in n or ".xi" in n for n in names)
 
     def test_dnn_heads_shared_with_sim_config(self, quick_config):

@@ -4,14 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import simfd.autograd as ag
 import simfd.emnn as emnn
 import simfd.training as training
 from dataclasses import replace
-from simfd.channel import ChannelRealization, ChannelSource, derive_seed
-from simfd.config import miniature_config
+from simfd.channel import ChannelRealization, ChannelSource, derive_seed, receiver_noise
+from simfd.config import TerminalLayout, miniature_config
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +231,9 @@ def sequential_fit(config, params, rng, epochs, lr_at, realization_at):
         lr = lr_at(epoch)
         realization = realization_at()
         block = training.sample_batch(rng, config)
+        noise = receiver_noise(config, len(block.bits), rng)
         stats = params.stats.copy()
-        soft = model.forward(block.bits, block.power_dbm, realization, rng=rng,
-                             training=True)
+        soft = model.forward(block.bits, block.power_dbm, realization, noise)
         loss = training.bce_loss(block.bits, soft)
         value = float(loss.data)
         diverged = not np.isfinite(value)
@@ -249,6 +249,17 @@ def sequential_fit(config, params, rng, epochs, lr_at, realization_at):
         history.append((epoch, value, lr))
     return training.Checkpoint(config, params, rng.bit_generator.state, history,
                                len(history), diverged)
+
+
+def fit_runs(config, seeds, epochs):
+    """Fresh runs of `seeds` trained as one ensemble on statistical draws."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    model = emnn.Emnn(config, params=emnn.ParamStore.stack(
+        [emnn.init_params(config, rng) for rng in rngs]))
+    source = ChannelSource(config)
+    return training.fit(model, rngs, epochs,
+                        lambda epoch: training.lr_schedule(epoch, config.training),
+                        lambda r: source.statistical(rngs[r]))
 
 
 def assert_same_run(got, want):
@@ -269,8 +280,8 @@ class TestTrainBase:
     def test_identical_seed_identical_checkpoint(self, quick_config):
         a = training.train_base(quick_config)
         b = training.train_base(quick_config)
-        for name, t in a.params.named_tensors().items():
-            assert np.array_equal(t.data, b.params.named_tensors()[name].data)
+        for name, t in a.params.tensors.items():
+            assert np.array_equal(t.data, b.params.tensors[name].data)
         assert a.history == b.history
 
     def test_history_records_epoch_loss_lr(self, quick_checkpoint):
@@ -292,7 +303,7 @@ class TestTrainBase:
         tc = cfg.training
         seeds = [tc.seed] + [derive_seed(tc.seed, 0x52535452 + r) for r in (1, 2)]
         source = ChannelSource(cfg)
-        ensemble = training._train_runs(cfg, source, seeds, tc.epochs)
+        ensemble = fit_runs(cfg, seeds, tc.epochs)
         for seed, run in zip(seeds, ensemble):
             rng = np.random.default_rng(seed)
             assert_same_run(run, sequential_fit(
@@ -313,8 +324,38 @@ class TestTrainBase:
                                     for e, v in enumerate(history or [0.0])],
                                     len(history or []), history is None)
                 for history in losses]
-        monkeypatch.setattr(training, "_train_runs", lambda *args: runs)
+        monkeypatch.setattr(training, "fit", lambda *args: runs)
         assert training.train_base(quick_config) is runs[kept]
+
+
+GRIDS = st.tuples(st.integers(1, 3), st.integers(1, 3))
+LAYOUTS = st.builds(TerminalLayout, GRIDS, GRIDS, GRIDS, GRIDS,
+                    st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(terminals=st.tuples(LAYOUTS, LAYOUTS),
+       n_bits=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       batch=st.integers(2, 8), trainable_power=st.booleans(),
+       order=st.permutations(range(3)))
+# one TX antenna under a 1x1 one-layer TX stack: its R = 1 phase product took
+# another numpy kernel than the same product in an ensemble
+@example(terminals=(TerminalLayout((1, 1), (2, 2), (1, 1), (2, 2), 1, 1),
+                    TerminalLayout((2, 2), (2, 2), (2, 2), (2, 2), 1, 1)),
+         n_bits=(2, 2), batch=4, trainable_power=False, order=(2, 0, 1))
+def test_a_run_is_the_same_in_any_ensemble(terminals, n_bits, batch, trainable_power,
+                                           order):
+    mini = miniature_config()
+    cfg = replace(mini, geometry=replace(mini.geometry, terminals=terminals),
+                  n_bits=n_bits, trainable_power=trainable_power,
+                  training=replace(mini.training, batch_size=batch))
+    seeds, epochs = (1, 2, 3), 4
+    ensemble = fit_runs(cfg, seeds, epochs)
+    permuted = fit_runs(cfg, [seeds[i] for i in order], epochs)
+    for seed, run in zip(seeds, ensemble):
+        assert_same_run(run, fit_runs(cfg, [seed], epochs)[0])
+    for i, run in zip(order, permuted):
+        assert_same_run(run, ensemble[i])
 
 
 class TestFinetune:
@@ -325,8 +366,8 @@ class TestFinetune:
         realizations = [source.instantaneous(i) for i in range(3)]
         realizations[1] = ChannelRealization({key: link * 10.0 ** 305.52 for key, link
                                               in realizations[1].links.items()})
-        singles = [training.finetune(quick_checkpoint, real, np.random.default_rng(i),
-                                     epochs=12) for i, real in enumerate(realizations)]
+        singles = [training.finetune(quick_checkpoint, [real], [np.random.default_rng(i)],
+                                     epochs=12)[0] for i, real in enumerate(realizations)]
         assert [run.diverged for run in singles] == [False, True, False]
         assert singles[1].epoch > 0
         ensemble = training.finetune(quick_checkpoint, realizations,
@@ -342,20 +383,20 @@ class TestFinetune:
     def test_zero_epochs_leaves_params_unchanged(self, quick_checkpoint,
                                                  quick_config):
         real = ChannelSource(quick_config).instantaneous(3)
-        tuned = training.finetune(quick_checkpoint, real,
-                                  np.random.default_rng(0), epochs=0)
-        for name, t in tuned.params.named_tensors().items():
+        [tuned] = training.finetune(quick_checkpoint, [real],
+                                    [np.random.default_rng(0)], epochs=0)
+        for name, t in tuned.params.tensors.items():
             assert np.array_equal(
-                t.data, quick_checkpoint.params.named_tensors()[name].data)
+                t.data, quick_checkpoint.params.tensors[name].data)
 
     def test_deterministic_for_fixed_seed(self, quick_checkpoint, quick_config):
         real = ChannelSource(quick_config).instantaneous(3)
-        a = training.finetune(quick_checkpoint, real, np.random.default_rng(5),
-                              epochs=5)
-        b = training.finetune(quick_checkpoint, real, np.random.default_rng(5),
-                              epochs=5)
-        for name, t in a.params.named_tensors().items():
-            assert np.array_equal(t.data, b.params.named_tensors()[name].data)
+        [a] = training.finetune(quick_checkpoint, [real], [np.random.default_rng(5)],
+                                epochs=5)
+        [b] = training.finetune(quick_checkpoint, [real], [np.random.default_rng(5)],
+                                epochs=5)
+        for name, t in a.params.tensors.items():
+            assert np.array_equal(t.data, b.params.tensors[name].data)
 
     @pytest.mark.parametrize("finetune_lr", [1e200, 1e10])
     def test_diverged_run_returns_the_last_good_state(self, finetune_lr):
@@ -366,9 +407,10 @@ class TestFinetune:
                                             finetune_lr=finetune_lr))
         base = training.train_base(cfg)
         real = ChannelSource(cfg).instantaneous(3)
-        ck = training.finetune(base, real, np.random.default_rng(3))
+        [ck] = training.finetune(base, [real], [np.random.default_rng(3)])
         assert ck.diverged and ck.epoch > 0
-        good = training.finetune(base, real, np.random.default_rng(3), epochs=ck.epoch)
+        [good] = training.finetune(base, [real], [np.random.default_rng(3)],
+                                   epochs=ck.epoch)
         assert not good.diverged
         for buffer in ("flat", "stats", "m", "v"):
             assert np.array_equal(getattr(ck.params, buffer), getattr(good.params, buffer))
@@ -379,15 +421,15 @@ class TestFinetune:
         other = with_unit_grid(miniature_config(), (3, 3))
         bad = ChannelSource(other).instantaneous(0)
         with pytest.raises(emnn.ArchitectureError):
-            training.finetune(quick_checkpoint, bad, np.random.default_rng(0))
+            training.finetune(quick_checkpoint, [bad], [np.random.default_rng(0)])
 
     def test_does_not_mutate_base(self, quick_checkpoint, quick_config):
         snapshot = {n: t.data.copy()
-                    for n, t in quick_checkpoint.params.named_tensors().items()}
+                    for n, t in quick_checkpoint.params.tensors.items()}
         real = ChannelSource(quick_config).instantaneous(4)
-        training.finetune(quick_checkpoint, real, np.random.default_rng(1),
+        training.finetune(quick_checkpoint, [real], [np.random.default_rng(1)],
                           epochs=3)
-        for name, t in quick_checkpoint.params.named_tensors().items():
+        for name, t in quick_checkpoint.params.tensors.items():
             assert np.array_equal(t.data, snapshot[name])
 
 

@@ -78,8 +78,8 @@ def fingerprint():
                 Path(f"{path}.history.csv").read_bytes())
 
         base = training.load_checkpoint(tmp / "mini.ckpt")
-        tuned = training.finetune(base, ChannelSource(base.config).instantaneous(3),
-                                  np.random.default_rng(3))
+        [tuned] = training.finetune(base, [ChannelSource(base.config).instantaneous(3)],
+                                    [np.random.default_rng(3)])
         training.save_checkpoint(tuned, tmp / "finetune.ckpt")
         digests["finetune.mini.ckpt"] = sha((tmp / "finetune.ckpt").read_bytes())
         two = dataclasses.replace(base, config=dataclasses.replace(
