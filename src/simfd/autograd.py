@@ -31,6 +31,15 @@ stacked on a leading axis (R, rows, columns): batch reductions run over
 axis -2, transposes swap the last two axes, and a per-run vector, one rank
 below the rows it meets, broadcasts over them as [..., None, :]. No op mixes
 runs, so each run's values and gradients are those it has on its own.
+
+Batch reductions. A sum over the rows runs in `sum(axis=-2)`'s order: row
+after row, each added across the columns at once. `_rows_sum` and
+`_rows_dot` compute it through `np.einsum`, which adds in that same order,
+about twice as fast and, for a product, with no temporary. They use einsum
+only on C-contiguous float64 operands of more than one column, and fall
+back to `sum` itself otherwise: on a single column or a Fortran-ordered
+array, `sum` adds the contiguous axis pairwise, and einsum's complex product
+rounds differently. Every value therefore has the bits it has through `sum`.
 """
 
 import warnings
@@ -56,12 +65,32 @@ def _rows(data, other):
     return data[..., None, :] if data.ndim > 1 and data.ndim == other.ndim - 1 else data
 
 
+def _summable(x):
+    """Whether einsum sums x's rows in sum(axis=-2)'s order (module docstring)."""
+    return x.dtype == np.float64 and x.shape[-1] > 1 and x.flags.c_contiguous
+
+
+def _rows_sum(x):
+    """x.sum(axis=-2), bit for bit."""
+    if _summable(x):
+        return np.einsum("...bf->...f", x)
+    return x.sum(axis=-2)
+
+
+def _rows_dot(a, b):
+    """(a * b).sum(axis=-2) of same-shape a and b, bit for bit, without the
+    product temporary."""
+    if _summable(a) and _summable(b):
+        return np.einsum("...bf,...bf->...f", a, b)
+    return (a * b).sum(axis=-2)
+
+
 def _unbroadcast(grad, shape):
     """Sum a gradient back down to `shape` after broadcasting (see _rows)."""
     if grad.shape == shape:
         return grad
-    if len(shape) > 1 and grad.ndim == len(shape) + 1:
-        return grad.sum(axis=-2)
+    if grad.ndim == len(shape) + 1 and grad.shape[-1:] == shape[-1:]:
+        return _rows_sum(grad)
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -305,29 +334,16 @@ def slice_axis(a, axis, start, length):
     return _result(a.data[idx].copy(), (a,), bw, op="slice")
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a, axis=None):
     a = _lift(a)
     def bw(out):
         if a.requires_grad:
             g = out.grad
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             # a writable copy: the read-only broadcast view must not become a.grad
             accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw, op="reduce_sum")
-
-
-def pow_scalar(a, k):
-    a = _lift(a)
-    k = float(k)
-    data = a.data ** k
-    def bw(out):
-        if a.requires_grad:
-            # subgradient 0 at the x = 0 singularity of fractional powers
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = k * a.data ** (k - 1.0)
-            accumulate(a, out.grad * np.where(np.isfinite(d), d, 0.0))
-    return _result(data, (a,), bw, op="pow")
+    return _result(a.data.sum(axis=axis), (a,), bw, op="reduce_sum")
 
 
 def relu(a):
@@ -337,6 +353,25 @@ def relu(a):
         if a.requires_grad:
             accumulate(a, out.grad * mask)
     return _result(np.where(mask, a.data, 0.0), (a,), bw, op="relu")
+
+
+def dense_relu(x, w, b):
+    """relu(x @ w + b) of real rows as one node, with the three ops'
+    arithmetic. Its op is "relu" and its data the relu output; its parents
+    (x, w, b) give back the pre-activation."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    pre = x.data @ w.data
+    pre += _rows(b.data, pre)
+    mask = pre > 0
+    def bw(out):
+        dz = out.grad * mask
+        if x.requires_grad:
+            accumulate(x, dz @ w.data.swapaxes(-1, -2))
+        if w.requires_grad:
+            accumulate(w, x.data.swapaxes(-1, -2) @ dz)
+        if b.requires_grad:
+            accumulate(b, _unbroadcast(dz, b.data.shape))
+    return _result(np.where(mask, pre, 0.0), (x, w, b), bw, op="relu")
 
 
 def sigmoid(a):
@@ -376,7 +411,7 @@ def softmax(a, axis=-1):
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# normalization over the batch
 # ---------------------------------------------------------------------------
 
 # running statistics decay as stat = BN_MOMENTUM * stat + (1 - BN_MOMENTUM) * batch
@@ -399,9 +434,9 @@ def batchnorm(x, gamma, beta, running, training):
         if n < 2:
             raise GraphError("batchnorm training mode requires batch >= 2")
         # the arithmetic of np.mean and np.var, with x centred once
-        mu = x.data.sum(axis=-2) / n
+        mu = _rows_sum(x.data) / n
         c = x.data - mu[..., None, :]
-        var = (c * c).sum(axis=-2) / n
+        var = _rows_dot(c, c) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = c * inv_std[..., None, :]
         m = BN_MOMENTUM
@@ -411,13 +446,13 @@ def batchnorm(x, gamma, beta, running, training):
         def bw(out):
             dxhat = out.grad * g
             if gamma.requires_grad:
-                accumulate(gamma, (out.grad * xhat).sum(axis=-2))
+                accumulate(gamma, _rows_dot(out.grad, xhat))
             if beta.requires_grad:
-                accumulate(beta, out.grad.sum(axis=-2))
+                accumulate(beta, _rows_sum(out.grad))
             if x.requires_grad:
                 accumulate(x, (inv_std / n)[..., None, :] * (
-                    n * dxhat - dxhat.sum(axis=-2)[..., None, :]
-                    - xhat * (dxhat * xhat).sum(axis=-2)[..., None, :]))
+                    n * dxhat - _rows_sum(dxhat)[..., None, :]
+                    - xhat * _rows_dot(dxhat, xhat)[..., None, :]))
         return _result(g * xhat + beta.data[..., None, :], (x, gamma, beta), bw,
                        op="batchnorm")
 
@@ -426,13 +461,56 @@ def batchnorm(x, gamma, beta, running, training):
 
     def bw(out):
         if gamma.requires_grad:
-            accumulate(gamma, (out.grad * xhat).sum(axis=-2))
+            accumulate(gamma, _rows_dot(out.grad, xhat))
         if beta.requires_grad:
-            accumulate(beta, out.grad.sum(axis=-2))
+            accumulate(beta, _rows_sum(out.grad))
         if x.requires_grad:
             accumulate(x, out.grad * g * inv_std[..., None, :])
     return _result(g * xhat + beta.data[..., None, :], (x, gamma, beta), bw,
                    op="batchnorm")
+
+
+def _pow_slope(x, k):
+    """d(x ** k)/dx, with the subgradient 0 where it is not finite (x = 0
+    under a fractional power)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = k * x ** (k - 1.0)
+    return np.where(np.isfinite(d), d, 0.0)
+
+
+def normalize_streams(raw, power, eps):
+    """Paired rows [re | im] (B, 2n), each complex column normalized to unit
+    mean power over the rows and scaled by sqrt(power) (B, n), as one node
+    with the arithmetic and gradient order of the chain of slices, squares,
+    sum, scale, powers, products and concat. Returns the node and the
+    columns' mean powers (..., 1, n)."""
+    raw, power = _lift(raw), _lift(power)
+    n, rows = raw.data.shape[-1] // 2, raw.data.shape[-2]
+    re, im = raw.data[..., :n], raw.data[..., n:]
+    scale = 1.0 / rows
+    mean_power = _rows_sum(re * re + im * im)[..., None, :] * scale
+    norm = mean_power ** 0.5 + eps
+    inv = norm ** -1.0
+    amp = power.data ** 0.5
+    gain = amp * inv
+    both = np.concatenate([gain, gain], axis=-1)
+
+    def bw(out):
+        dboth = out.grad * raw.data
+        dgain = dboth[..., :n] + dboth[..., n:]
+        if power.requires_grad:
+            accumulate(power, _unbroadcast(dgain * inv, amp.shape)
+                       * _pow_slope(power.data, 0.5))
+        if raw.requires_grad:
+            dmean = (_unbroadcast(dgain * amp, inv.shape) * _pow_slope(norm, -1.0)
+                     * _pow_slope(mean_power, 0.5))
+            pair = np.concatenate([scale * dmean] * 2, axis=-1) * raw.data
+            grad = out.grad * both
+            grad += pair + pair
+            # the chain added zero-padded slice gradients, which turn a -0 sum into +0
+            grad += 0.0
+            accumulate(raw, grad)
+    return _result(raw.data * both, (raw, power), bw, op="normalize_streams"), mean_power
 
 
 # ---------------------------------------------------------------------------

@@ -64,17 +64,18 @@ def full_grad_check(config, seed=0, batch=8, h=1e-6, power_dbm=10.0):
 
 
 def _point_is_smooth(loss, kink_margin, power_floor):
-    """No relu pre-activation within finite-difference reach of its kink and
-    no antenna stream near the power-normalization discontinuity."""
+    """No dense-layer pre-activation within finite-difference reach of its
+    relu kink and no antenna stream whose mean power is near the
+    power-normalization discontinuity at zero."""
     for node in ag.topo_order(loss):
         if node.op == "relu":
-            pre = np.abs(node._parents[0].data)
-            if pre.size and pre.min() < kink_margin:
+            x, w, b = (p.data for p in node._parents)
+            if np.abs(x @ w + b[..., None, :]).min() < kink_margin:
                 return False
-        # the 1/(norm + eps) factor marks the stream normalization
-        if node.op == "pow" and node._parents[0].op == "add":
-            base = node._parents[0].data
-            if base.size and np.abs(base).min() < np.sqrt(power_floor):
+        if node.op == "normalize_streams":
+            raw = node._parents[0].data
+            n = raw.shape[-1] // 2
+            if (raw[..., :n] ** 2 + raw[..., n:] ** 2).mean(axis=-2).min() < power_floor:
                 return False
     return True
 

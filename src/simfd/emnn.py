@@ -229,7 +229,7 @@ def tx_dnn_forward(bits, params, q):
     antenna pairs."""
     x = bits if isinstance(bits, ag.Tensor) else ag.Tensor(np.asarray(bits, dtype=float))
     for w, b in params.layers(q, "tx"):
-        x = ag.relu(ag.add(ag.matmul(x, w), b))
+        x = ag.dense_relu(x, w, b)
     return x
 
 
@@ -258,20 +258,11 @@ def power_control(raw, per_antenna_power):
     batch, then scaled by the square root of its allocated power, so the
     batch-mean total transmit power equals the (per-sample) budget.
     """
-    n = raw.data.shape[-1] // 2
-    batch = raw.data.shape[-2]
-    re = ag.slice_axis(raw, -1, 0, n)
-    im = ag.slice_axis(raw, -1, n, n)
-    stream_power = ag.scale(ag.reduce_sum(
-        ag.add(ag.hadamard(re, re), ag.hadamard(im, im)),
-        axis=-2, keepdims=True), 1.0 / batch)
-    if np.any(stream_power.data < POWER_EPS):
+    out, stream_power = ag.normalize_streams(raw, per_antenna_power, POWER_EPS)
+    if np.any(stream_power < POWER_EPS):
         warnings.warn("all-zero antenna stream in power control",
                       RuntimeWarning, stacklevel=2)
-    inv_norm = ag.pow_scalar(ag.add(ag.pow_scalar(stream_power, 0.5), POWER_EPS), -1.0)
-    amp = ag.pow_scalar(per_antenna_power, 0.5)
-    per_stream = ag.hadamard(amp, inv_norm)
-    return ag.hadamard(raw, ag.concat([per_stream, per_stream], axis=-1))
+    return out
 
 
 def tx_sim_forward(x, factors, thetas):
@@ -317,7 +308,7 @@ def rx_dnn_forward(y, params, q, training):
     first, *rest = params.layers(q, "bn")
     h = ag.batchnorm(y, *first, training)
     for (w, b), bn in zip(params.layers(q, "rx"), rest, strict=True):
-        h = ag.batchnorm(ag.relu(ag.add(ag.matmul(h, w), b)), *bn, training)
+        h = ag.batchnorm(ag.dense_relu(h, w, b), *bn, training)
     return ag.sigmoid(h)
 
 

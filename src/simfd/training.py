@@ -393,7 +393,8 @@ def train_base(config, seed=None, epochs=None):
 
 def finetune(base, realizations, rngs, epochs=None):
     """Continue training from a base checkpoint, one copy per frozen
-    realization in `realizations`, run r drawing from generator `rngs[r]`.
+    realization in `realizations`, run r drawing from generator `rngs[r]`;
+    the two lists must be equally long.
 
     All parameters stay trainable and batchnorm running statistics keep
     updating; only the channel layer is pinned to the run's realization.
@@ -401,6 +402,9 @@ def finetune(base, realizations, rngs, epochs=None):
     which the copied store carries. The copies train as one ensemble (see
     fit); returns their checkpoints, in order.
     """
+    if len(realizations) != len(rngs):
+        raise ValueError(f"finetune needs one generator per realization, got "
+                         f"{len(realizations)} realizations and {len(rngs)} generators")
     config = base.config
     tc = config.training
     epochs = tc.finetune_epoch_count if epochs is None else epochs

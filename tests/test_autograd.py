@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import simfd.autograd as ag
 import simfd.emnn as emnn
@@ -407,6 +408,66 @@ def test_random_graphs_match_finite_differences(case):
             # small-gradient scalars; the floor mirrors grad_check's
             fd = fd_grad(build, p, h=1e-5)
             assert rel_err(ad, fd, floor=1e-4) < 1e-5
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(runs=st.sampled_from([None, 1, 2, 3, 15]), rows=st.integers(1, 300),
+       cols=st.integers(1, 40),
+       layout=st.sampled_from(["C", "column slice", "Fortran", "one column"]),
+       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_row_reductions_are_sums_bit_for_bit(runs, rows, cols, layout, complex_, seed):
+    """_rows_sum / _rows_dot give the bits of sum(axis=-2) on every layout;
+    a numpy whose einsum adds in another order fails here."""
+    rng = np.random.default_rng(seed)
+    lead = () if runs is None else (runs,)
+    cols = 1 if layout == "one column" else cols
+    shape = lead + (rows, cols + (layout == "column slice"))
+
+    def draw():
+        x = rng.choice([-1.0, 1.0], shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        if complex_:
+            x = x + 1j * rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        if layout == "column slice":
+            return x[..., 1:]
+        return np.asfortranarray(x) if layout == "Fortran" else x
+
+    a, b = draw(), draw()
+    assert ag._rows_sum(a).tobytes() == a.sum(axis=-2).tobytes()
+    assert ag._rows_dot(a, b).tobytes() == (a * b).sum(axis=-2).tobytes()
+
+
+def test_dense_relu_is_the_three_ops():
+    # values and gradients bit for bit, for one run and a stack of runs
+    rng = np.random.default_rng(12)
+    for lead in ((), (3,)):
+        x = rng.standard_normal(lead + (32, 6))
+        w = rng.standard_normal(lead + (6, 5))
+        b = rng.standard_normal(lead + (5,))
+        g = rng.standard_normal(lead + (32, 5))
+        results = []
+        for op in (lambda x, w, b: ag.relu(ag.add(ag.matmul(x, w), b)), ag.dense_relu):
+            leaves = [ag.Tensor(v.copy(), requires_grad=True) for v in (x, w, b)]
+            y = op(*leaves)
+            ag.backward(ag.reduce_sum(ag.hadamard(y, g)))
+            results.append([y.data] + [t.grad for t in leaves])
+        for fused, chain in zip(results[1], results[0]):
+            assert fused.tobytes() == chain.tobytes()
+
+
+def test_normalize_streams_gradients_match_finite_differences():
+    rng = np.random.default_rng(13)
+    for lead in ((), (2,)):
+        raw = ag.Tensor(rng.standard_normal(lead + (6, 8)), requires_grad=True)
+        power = ag.Tensor(rng.uniform(0.5, 2.0, lead + (6, 4)), requires_grad=True)
+        w = rng.standard_normal(lead + (6, 8))
+
+        def build():
+            out, _ = ag.normalize_streams(raw, power, 1e-12)
+            return ag.reduce_sum(ag.hadamard(out, w))
+
+        ag.backward(build())
+        for t in (raw, power):
+            assert rel_err(t.grad, fd_grad(build, t)) < 1e-6
 
 
 def test_grad_check_linear_layer_tight():

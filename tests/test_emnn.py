@@ -562,6 +562,43 @@ class TestRunAxis:
             assert not np.shares_memory(out.flat, stacked.flat)
 
 
+class TestGraphContract:
+    """The loss graph's node contract: the benchmark's gradient check reads
+    each dense layer's "relu" node, and the CLI's smoothness check finds
+    the stream normalization by its op name."""
+
+    def mini_loss(self, mini, mini_realization, params):
+        rng = np.random.default_rng(43)
+        bits = rng.integers(0, 2, (32, mini.total_bits)).astype(float)
+        model = emnn.Emnn(mini, params=params)
+        soft = model.forward(bits, np.full(32, 20.0), mini_realization,
+                             ch.receiver_noise(mini, 32, rng))
+        return training.bce_loss(bits, soft)
+
+    def test_one_relu_node_per_dense_layer(self, mini, mini_model, mini_realization):
+        loss = self.mini_loss(mini, mini_realization, mini_model.params.copy())
+        relus = [node for node in ag.topo_order(loss) if node.op == "relu"]
+        assert len(relus) == 10
+        for node in relus:
+            x, w, b = (p.data for p in node._parents)
+            assert np.array_equal(node.data > 0, x @ w + b > 0)
+
+    def test_smoothness_check_finds_a_dead_stream(self, mini, mini_model, mini_realization):
+        from simfd import cli
+        params = mini_model.params.copy()
+        assert cli._point_is_smooth(self.mini_loss(mini, mini_realization, params),
+                                    kink_margin=0.0, power_floor=1e-6)
+        # terminal 1's first antenna: re and im pre-activations far below the kink
+        antennas = mini.geometry.terminal(1).tx_antennas
+        for column in (0, antennas):
+            params["t1.tx.w2"].data[:, column] = 0.0
+            params["t1.tx.b2"].data[column] = -1.0
+        with pytest.warns(RuntimeWarning, match="all-zero antenna stream"):
+            loss = self.mini_loss(mini, mini_realization, params)
+        # kink margin 0: only the stream normalization can reject the point
+        assert not cli._point_is_smooth(loss, kink_margin=0.0, power_floor=1e-6)
+
+
 class TestPhaseExport:
     def test_table_format_and_range(self, mini_model):
         text = emnn.export_phase_table(mini_model.params)

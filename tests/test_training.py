@@ -423,6 +423,17 @@ class TestFinetune:
         with pytest.raises(emnn.ArchitectureError):
             training.finetune(quick_checkpoint, [bad], [np.random.default_rng(0)])
 
+    @pytest.mark.parametrize("n_real, n_rngs", [(3, 1), (1, 2)])
+    def test_list_lengths_must_match(self, quick_checkpoint, quick_config, n_real, n_rngs):
+        source = ChannelSource(quick_config)
+        realizations = [source.instantaneous(i) for i in range(n_real)]
+        rngs = [np.random.default_rng(i) for i in range(n_rngs)]
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match=f"{n_real} realizations and {n_rngs} generators"):
+            training.finetune(quick_checkpoint, realizations, rngs, epochs=2)
+        # rejected before any run drew
+        assert [rng.bit_generator.state for rng in rngs] == states
+
     def test_does_not_mutate_base(self, quick_checkpoint, quick_config):
         snapshot = {n: t.data.copy()
                     for n, t in quick_checkpoint.params.tensors.items()}
