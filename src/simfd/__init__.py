@@ -1,6 +1,8 @@
 """Link-level simulator and trainable wave-domain optimizer for
 metasurface-assisted full-duplex links."""
 
+import ctypes
+
 from .config import (ChannelConfig, ConfigError, EvalConfig, GeometryConfig,
                      SystemConfig, TerminalLayout, TrainConfig, load_config,
                      miniature_config, save_config, reference_config)
@@ -10,3 +12,27 @@ __all__ = [
     "SystemConfig", "TerminalLayout", "TrainConfig", "load_config",
     "miniature_config", "save_config", "reference_config",
 ]
+
+
+def _keep_heap_top():
+    """Set glibc's heap policy for the process; a no-op without `mallopt`.
+
+    A batch or training step frees its arrays at its end. By default glibc
+    then hands the freed top of the heap back to the OS, and the next batch
+    faults every page of it in again. The policy changes no value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_TOP_PAD (-2): trimming keeps 16 MiB free at the heap top, about three
+    # times what a `reference` eval batch or training step frees and takes
+    # again, so steady-state batches are served from the heap without faults;
+    # any setting also fixes the mmap threshold at 128 KiB, so a pad below
+    # that need faults more than glibc's default
+    mallopt(-2, 16 << 20)
+
+
+_keep_heap_top()

@@ -340,9 +340,8 @@ def fit(model, rngs, epochs, lr_at, realization_at):
         lr = lr_at(epoch)
         draws = [(realization_at(r), sample_batch(rngs[r], config),
                   receiver_noise(config, batch, rngs[r])) for r in live]
-        # the last step's graph goes only after this step's draws: freed at
-        # the end of its step, it left the heap top free for malloc to hand
-        # back, and every step faulted it in again (135k faults per base run)
+        # drop the last step's graph before this step's forward: the two
+        # graphs are never held at once, which keeps the peak down
         losses = None
         losses, bad = _step(model, opt, draws, lr)
         while bad.any():
