@@ -1,5 +1,6 @@
-"""Steady-state heap: once warm, a `reference` eval batch or training step
-takes its memory from the heap, not from fresh pages of the OS.
+"""Steady-state heap: once warm, a `reference` eval batch, training step or
+stacked fine-tune step takes its memory from the heap, not from fresh pages
+of the OS.
 
 The counts come from a fresh interpreter: inside pytest the heap is already
 grown by earlier tests, which hides the churn.
@@ -44,7 +45,18 @@ def lr_at(epoch):
 rngs = [np.random.default_rng(3)]
 model = emnn.Emnn(config, params=emnn.ParamStore.stack([emnn.init_params(config, rngs[0])]))
 training.fit(model, rngs, 21, lr_at, lambda r: source.statistical(rngs[r]))
-print(json.dumps({"per_batch": per_batch, "per_step": (marks[20] - marks[5]) / 15}))
+per_step = (marks[20] - marks[5]) / 15
+
+# ten runs stacked on pinned realizations, as `monte_carlo_eval` fine-tunes:
+# a step frees far more than one run's graph; epochs 0-2 grow the heap
+marks.clear()
+rngs = [np.random.default_rng(seed) for seed in range(10)]
+realizations = [source.instantaneous(seed) for seed in range(10)]
+params = emnn.init_params(config, rngs[0])
+model = emnn.Emnn(config, params=emnn.ParamStore.stack([params] * 10))
+training.fit(model, rngs, 20, lr_at, lambda r: realizations[r])
+print(json.dumps({"per_batch": per_batch, "per_step": per_step,
+                  "per_stacked_step": (marks[19] - marks[3]) / 16}))
 """
 
 
@@ -59,7 +71,10 @@ def test_warm_batches_and_steps_take_no_fresh_pages():
     done = subprocess.run([sys.executable, "-W", "ignore", "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     counts = json.loads(done.stdout.splitlines()[-1])
-    # without the heap policy set at import: ~800 faults per 2,048-symbol
-    # batch and ~100 per step, as glibc hands the heap top back after each
+    # without the heap policy set at import: ~750 faults per 2,048-symbol
+    # batch, 120-190 per step and 250-1,000 per stacked step, as glibc maps
+    # large arrays afresh and hands the heap top back; with a 16 MiB top pad
+    # alone instead, 1,200-6,500 per stacked step
     assert counts["per_batch"] < 50, counts
     assert counts["per_step"] < 50, counts
+    assert counts["per_stacked_step"] < 100, counts
