@@ -8,13 +8,10 @@ conjugate transpose. Real and complex nodes meet only in `phase_shift`
 (real phases) and in `to_complex` / `to_pair`, which cross between complex
 fields and the paired real rows [re | im] of the digital networks.
 
-Tape. Every node is created after its parents, so creation order is a
-topological order. Each grad-requiring op result is recorded on the tape of
-its graph, a list of weak references in creation order; graphs built apart
-share one tape from the first op that joins them. `backward` walks the
-loss's tape in reverse, with no graph search. The tape holds its nodes
-weakly, so a graph that is dropped without being differentiated is freed
-like any other object.
+Graph walk. `backward` walks `topo_order(loss)` in reverse, so a node passes
+its gradient on only after every node that reads it has added its own. A
+node refers only to its parents, so a graph dropped without being
+differentiated is freed like any other object.
 
 Lazy gradients. `backward` first clears the gradient of every node it will
 walk; a node's first contribution then becomes its gradient, and later ones
@@ -23,7 +20,7 @@ that no gradient reaches, and a gradient may share its buffer with another
 node's, so treat gradients as read-only.
 
 No-grad scope. Inside `with no_grad():` ops compute values only: their
-results keep no parents, no backward closure and no tape entry.
+results keep no parents and no backward closure.
 
 Run axis. The ops act on the trailing two axes, rows by columns, so one op
 serves a single run (2-D arrays) and an ensemble of R independent runs
@@ -43,7 +40,6 @@ rounds differently. Every value therefore has the bits it has through `sum`.
 """
 
 import warnings
-import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -108,7 +104,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "op",
-                 "_parents", "_backward", "_tape", "__weakref__")
+                 "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         data = np.asarray(data)
@@ -120,7 +116,6 @@ class Tensor:
         self.op = None
         self._parents = ()
         self._backward = None
-        self._tape = None
 
     @property
     def shape(self):
@@ -153,24 +148,11 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _merge(a, b):
-    """One tape for two graphs that an op joins: the shorter one is appended.
-
-    The graphs share no node yet, so either order stays topological.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    for ref in b:
-        node = ref()
-        if node is not None:
-            node._tape = a
-            a.append(ref)
-    return a
-
-
 def _result(data, parents, backward, op=None):
     """Op result; numpy already returns float64 / complex128 here, so the
-    value is kept as is rather than coerced like a leaf's."""
+    value is kept as is rather than coerced like a leaf's. Outside `no_grad`
+    it keeps its parents, and requires grad, with `backward` as its closure,
+    when one of them does."""
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = None
@@ -179,22 +161,12 @@ def _result(data, parents, backward, op=None):
     out.op = op
     out._parents = ()
     out._backward = None
-    out._tape = None
     if not _grad_enabled:
         return out
     out._parents = tuple(parents)
-    tape = None
-    for p in parents:
-        if p.requires_grad:
-            if tape is None:
-                tape = p._tape if p._tape is not None else []
-            elif p._tape is not None and p._tape is not tape:
-                tape = _merge(tape, p._tape)
-    if tape is not None:
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._backward = backward
-        out._tape = tape
-        tape.append(weakref.ref(out))
     return out
 
 
@@ -227,21 +199,15 @@ def topo_order(root):
 def backward(loss):
     """Reverse-accumulate gradients of a scalar loss into the graph's leaves.
 
-    Gradients are cleared on every node of the loss's tape and on their
-    parents, then accumulated walking the tape in reverse. Accumulation
-    order is the reverse tape order, fixed for a fixed graph, so gradients
-    are bit-deterministic.
+    Gradients are cleared on every node of `topo_order(loss)`, leaves
+    included, then accumulated walking it in reverse. The walk is fixed for
+    a fixed graph, so gradients are bit-deterministic.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
-    if loss._tape is None:
-        nodes = [loss]
-    else:
-        nodes = [node for node in (ref() for ref in loss._tape) if node is not None]
+    nodes = topo_order(loss)
     for node in nodes:
         node.grad = None
-        for p in node._parents:
-            p.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(nodes):
         if node.grad is not None and node._backward is not None:

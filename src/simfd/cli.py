@@ -142,6 +142,11 @@ def cmd_finetune(args):
 def cmd_evaluate(args):
     ck = training.load_checkpoint(args.checkpoint)
     config = ck.config if args.config is None else resolve_config(args.config)
+    # the network's receiver gain (Emnn.rx_scale) is fixed by the noise power
+    # it was trained at, so the override cannot change it
+    if config.channel.noise_dbm != ck.config.channel.noise_dbm:
+        raise ConfigError(f"--config noise_dbm {config.channel.noise_dbm} differs from "
+                          f"the checkpoint's {ck.config.channel.noise_dbm}")
     config = _apply_scale_flags(config, args)
     model = emnn.Emnn(ck.config, params=ck.params)
     real_seed, rng, realization = _realization(config, args)

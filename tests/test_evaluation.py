@@ -380,6 +380,21 @@ class TestCli:
         assert direct(64) != direct(quick_config.evaluation.eval_batch)
         assert int(row["errors"]) == direct(64)
 
+    def test_evaluate_config_override_with_other_noise_power_is_refused(
+            self, quick_base, quick_config, tmp_path, capsys):
+        # the network's receiver gain is fixed by the checkpoint's noise power
+        training.save_checkpoint(quick_base, tmp_path / "base.ckpt")
+        noise = quick_config.channel.noise_dbm
+        override = replace(quick_config, channel=replace(quick_config.channel,
+                                                         noise_dbm=noise + 40.0))
+        save_config(override, tmp_path / "override.json")
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "base.ckpt"),
+                         "--config", str(tmp_path / "override.json"),
+                         "--power", "30", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(noise) in err and str(noise + 40.0) in err
+
     def test_evaluate_with_mismatched_checkpoint_fails_with_shape_error(
             self, quick_config, tmp_path, capsys):
         cfg_path = tmp_path / "quick.json"

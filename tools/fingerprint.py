@@ -4,6 +4,8 @@ Prints one JSON object of sha256 digests:
 
 - the `train_base` checkpoint container and history CSV for `mini`
   (120 epochs x its 3 restarts) and `reference` (30 epochs);
+- the `train_base` checkpoint container for `mini` with `trainable_power`
+  (40 epochs x 3 restarts), whose power control learns its allocation;
 - the checkpoint that `finetune` writes for the mini base on realization
   `instantaneous(3)` with rng seed 3, which carries the optimizer moments
   handed over from the base;
@@ -76,6 +78,11 @@ def fingerprint():
             digests[f"train_base.{name}.ckpt"] = sha(path.read_bytes())
             digests[f"train_base.{name}.history.csv"] = sha(
                 Path(f"{path}.history.csv").read_bytes())
+        ck = training.train_base(dataclasses.replace(miniature_config(), trainable_power=True),
+                                 epochs=40)
+        training.save_checkpoint(ck, tmp / "mini_power.ckpt")
+        digests["train_base.mini_trainable_power.ckpt"] = sha(
+            (tmp / "mini_power.ckpt").read_bytes())
 
         base = training.load_checkpoint(tmp / "mini.ckpt")
         [tuned] = training.finetune(base, [ChannelSource(base.config).instantaneous(3)],
