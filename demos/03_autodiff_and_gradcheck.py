@@ -22,17 +22,15 @@ print("rotated by diag(exp(j theta)):", np.round(rotated.data, 3))
 
 
 # --- a small trainable graph ----------------------------------------------------
-# the rotated field meets a real layer as paired rows [re | im]
+# the rotated field meets a real layer as paired rows [re | im], whose two
+# outputs are the logits of a binary cross-entropy
 def forward():
-    return ag.sigmoid(ag.matmul(ag.to_pair(ag.phase_shift(ag.Tensor(z), theta)), w))
+    return ag.matmul(ag.to_pair(ag.phase_shift(ag.Tensor(z), theta)), w)
 
 
 w = ag.Tensor(rng.standard_normal((6, 2)) * 0.5, requires_grad=True, name="w")
-out = forward()
 target = np.array([[1.0, 0.0]])
-hit = ag.hadamard(target, ag.log(out))
-miss = ag.hadamard(1.0 - target, ag.log(ag.sub(1.0, out)))
-loss = ag.scale(ag.reduce_sum(ag.add(hit, miss)), -1.0)
+loss = ag.bce_with_logits(forward(), target)
 ag.backward(loss)
 print(f"\nscalar loss {float(loss.data):.4f}")
 print("d loss / d theta:", np.round(theta.grad, 4))
@@ -45,9 +43,8 @@ for i in range(3):
     keep = theta.data[i]
     for sign in (+1, -1):
         theta.data[i] = keep + sign * h
-        y = forward()
-        l_val = -(target * np.log(y.data)
-                  + (1 - target) * np.log(1 - y.data)).sum()
+        logits = forward().data
+        l_val = (np.logaddexp(0.0, logits) - target * logits).sum()
         fd[i] += sign * l_val / (2 * h)
     theta.data[i] = keep
 print("finite differences:", np.round(fd, 4),

@@ -39,12 +39,9 @@ array, `sum` adds the contiguous axis pairwise, and einsum's complex product
 rounds differently. Every value therefore has the bits it has through `sum`.
 """
 
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
-
-LOG_EPS = 1e-12
 
 # False inside `no_grad`: op results then record nothing for backward
 _grad_enabled = True
@@ -228,16 +225,6 @@ def add(a, b):
     return _result(_rows(a.data, b.data) + _rows(b.data, a.data), (a, b), bw, op="add")
 
 
-def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    def bw(out):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, -_unbroadcast(out.grad, b.data.shape))
-    return _result(_rows(a.data, b.data) - _rows(b.data, a.data), (a, b), bw, op="sub")
-
-
 def hadamard(a, b):
     a, b = _lift(a), _lift(b)
     da, db = _rows(a.data, b.data), _rows(b.data, a.data)
@@ -340,28 +327,24 @@ def dense_relu(x, w, b):
     return _result(np.where(mask, pre, 0.0), (x, w, b), bw, op="relu")
 
 
-def sigmoid(a):
-    a = _lift(a)
-    x = a.data
+def bce_with_logits(z, bits):
+    """Binary cross-entropy of logits z against bits b of z's shape, as one
+    node: softplus(z) - b z summed over the trailing two axes and divided by
+    the rows, so one loss per run. softplus(z) = max(z, 0) + log1p(exp(-|z|))
+    and the gradient (sigmoid(z) - b) / rows stay finite at any logit."""
+    z = _lift(z)
+    b = np.asarray(bits, dtype=float)
+    if b.shape != z.data.shape:
+        raise GraphError(f"bit block {b.shape} vs logits {z.data.shape}")
+    x = z.data
+    rows = x.shape[-2]
     e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    loss = (np.maximum(x, 0.0) + np.log1p(e) - b * x).sum(axis=(-2, -1)) / rows
     def bw(out):
-        if a.requires_grad:
-            accumulate(a, out.grad * y * (1.0 - y))
-    return _result(y, (a,), bw, op="sigmoid")
-
-
-def log(a):
-    """Natural log with inputs clamped at LOG_EPS (cross-entropy stability)."""
-    a = _lift(a)
-    clipped = a.data < LOG_EPS
-    if clipped.any():
-        warnings.warn("log input clamped at 1e-12", RuntimeWarning, stacklevel=2)
-    safe = np.maximum(a.data, LOG_EPS)
-    def bw(out):
-        if a.requires_grad:
-            accumulate(a, out.grad / safe * (~clipped))
-    return _result(np.log(safe), (a,), bw, op="log")
+        if z.requires_grad:
+            p = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            accumulate(z, (p - b) * (out.grad / rows)[..., None, None])
+    return _result(loss, (z,), bw, op="bce_with_logits")
 
 
 def softmax(a, axis=-1):

@@ -53,9 +53,9 @@ def full_grad_check(config, seed=0, batch=8, h=1e-6, power_dbm=10.0):
         frozen_noise = receiver_noise(config, batch, rng)
 
         def builder():
-            soft = model.forward(bits, powers, realization, training=True,
-                                 noise_override=frozen_noise)
-            return training.bce_loss(bits, soft)
+            logits = model.forward(bits, powers, realization, training=True,
+                                   noise_override=frozen_noise)
+            return training.bce_loss(bits, logits)
 
         if not _point_is_smooth(builder(), kink_margin=1e-4, power_floor=1e-6):
             continue

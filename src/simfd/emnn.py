@@ -2,12 +2,13 @@
 RX-DNN, for both terminals in one differentiable graph.
 
 Terminal q transmits its own bit stream and decodes the other terminal's;
-the concatenated soft output is aligned with the concatenated input
-[b1 | b2]. The digital networks work on paired real rows [re | im]; the
-stacks and the channel are complex128 (see autograd). Propagation and
-channel matrices enter the graph as fixed constants; the trainable state is
-the DNN weights, the per-layer phase vectors, batchnorm scale/shift, and
-(optionally) the power allocation, all views into one ParamStore buffer.
+the concatenated output, one logit per bit (positive for a 1), is aligned
+with the concatenated input [b1 | b2]. The digital networks work on paired
+real rows [re | im]; the stacks and the channel are complex128 (see
+autograd). Propagation and channel matrices enter the graph as fixed
+constants; the trainable state is the DNN weights, the per-layer phase
+vectors, batchnorm scale/shift, and (optionally) the power allocation, all
+views into one ParamStore buffer.
 
 Once the phases are set, the stacks and the channel are linear in the
 transmitted field, so the forward composes each receiver's
@@ -303,19 +304,20 @@ def channel_layer(t1, t2, realization):
 
 
 def rx_dnn_forward(y, params, q, training):
-    """Terminal q's batchnorm / linear+relu alternation closed by a sigmoid:
-    one batchnorm on the input and one after each linear+relu layer."""
+    """Terminal q's batchnorm / linear+relu alternation: one batchnorm on the
+    input and one after each linear+relu layer, the last giving the logits
+    of the decoded bits."""
     first, *rest = params.layers(q, "bn")
     h = ag.batchnorm(y, *first, training)
     for (w, b), bn in zip(params.layers(q, "rx"), rest, strict=True):
         h = ag.batchnorm(ag.dense_relu(h, w, b), *bn, training)
-    return ag.sigmoid(h)
+    return h
 
 
-def hard_decision(soft):
-    """Threshold soft bits at 0.5; exact ties map to 1."""
-    soft = soft.data if isinstance(soft, ag.Tensor) else np.asarray(soft)
-    return (soft >= 0.5).astype(np.int64)
+def hard_decision(logits):
+    """Threshold logits at 0; exact ties map to 1."""
+    logits = logits.data if isinstance(logits, ag.Tensor) else np.asarray(logits)
+    return (logits >= 0.0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +356,7 @@ class Emnn:
                     f"link ({p},{q}) shape {got} does not match model {expect}")
 
     def forward(self, bits, power_dbm, realization, noise_override, training=True):
-        """Soft estimates of the full bit block, aligned with [b1 | b2].
+        """Logits of the full bit block, aligned with [b1 | b2].
 
         The TX-DNNs and power control act on the batch. tx stack ->
         channel -> rx stack compose, per receiver q, the transposed

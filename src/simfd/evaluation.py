@@ -111,9 +111,9 @@ def evaluate(model, realization, power_dbm, test_scale, rng, batch_size=None):
         bits = rng.integers(0, 2, (n, total_bits)).astype(float)
         noise = receiver_noise(model.config, n, rng)
         with ag.no_grad():
-            soft = model.forward(bits, np.full(n, float(power_dbm)), realization,
-                                 noise, training=False)
-        decided = emnn.hard_decision(soft)
+            logits = model.forward(bits, np.full(n, float(power_dbm)), realization,
+                                   noise, training=False)
+        decided = emnn.hard_decision(logits)
         e, t, _ = ber(bits, decided)
         errors += e
         counted += t

@@ -41,15 +41,12 @@ class CheckpointError(ValueError):
 # loss / optimizer / schedule
 # ---------------------------------------------------------------------------
 
-def bce_loss(bits, soft):
-    """Binary cross-entropy, summed over bits, averaged over the batch; one
-    loss per run for a stack of runs (R, B, n)."""
-    b = np.asarray(bits, dtype=float)
-    if b.shape != soft.data.shape:
-        raise ag.GraphError(f"bit block {b.shape} vs soft output {soft.data.shape}")
-    hit = ag.hadamard(b, ag.log(soft))
-    miss = ag.hadamard(1.0 - b, ag.log(ag.sub(1.0, soft)))
-    return ag.scale(ag.reduce_sum(ag.add(hit, miss), axis=(-2, -1)), -1.0 / b.shape[-2])
+def bce_loss(bits, logits):
+    """Binary cross-entropy of the RX-DNNs' logits, summed over bits and
+    averaged over the batch; one loss per run for a stack of runs (R, B, n).
+    One node (autograd.bce_with_logits); a bit block of another shape than
+    the logits raises GraphError."""
+    return ag.bce_with_logits(logits, bits)
 
 
 def _bias(beta, step):
@@ -291,10 +288,10 @@ def _step(model, opt, draws, lr):
     realizations, blocks, noise = zip(*draws)
     bits = np.stack([b.bits for b in blocks])
     stats = opt.params.stats.copy()
-    soft = model.forward(bits, np.stack([b.power_dbm for b in blocks]),
-                         ChannelRealization.stack(realizations), training=True,
-                         noise_override=[np.stack(n) for n in zip(*noise)])
-    losses = bce_loss(bits, soft)
+    logits = model.forward(bits, np.stack([b.power_dbm for b in blocks]),
+                           ChannelRealization.stack(realizations), training=True,
+                           noise_override=[np.stack(n) for n in zip(*noise)])
+    losses = bce_loss(bits, logits)
     bad = ~np.isfinite(losses.data)
     if not bad.any():
         ag.backward(ag.reduce_sum(losses))
@@ -408,11 +405,6 @@ def finetune(base, realizations, rngs, epochs=None):
     tc = config.training
     epochs = tc.finetune_epoch_count if epochs is None else epochs
     model = emnn.Emnn(config, params=emnn.ParamStore.stack([base.params] * len(rngs)))
-    for each in realizations:
-        try:
-            model.check_realization(each)
-        except emnn.ArchitectureError as exc:
-            raise emnn.ArchitectureError(f"invalid transfer: {exc}") from exc
     return fit(model, rngs, epochs, lambda epoch: tc.finetune_learning_rate,
                lambda r: realizations[r])
 

@@ -195,9 +195,9 @@ def test_loss_sanity(mini):
     source = ch.ChannelSource(mini)
     realization = source.instantaneous(11)
     block = training.sample_batch(rng, mini)
-    soft = model.forward(block.bits, block.power_dbm, realization,
-                         ch.receiver_noise(mini, len(block.bits), rng), training=True)
-    loss = float(training.bce_loss(block.bits, soft).data)
+    logits = model.forward(block.bits, block.power_dbm, realization,
+                           ch.receiver_noise(mini, len(block.bits), rng), training=True)
+    loss = float(training.bce_loss(block.bits, logits).data)
     _, _, ber_untrained = ev.evaluate(model, realization, 30.0, 10000,
                                       np.random.default_rng(5))
     report("loss sanity",

@@ -1,9 +1,11 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 import simfd.autograd as ag
 import simfd.emnn as emnn
@@ -37,14 +39,6 @@ def test_relu_values_and_mask():
     assert np.array_equal(y.data, [0.0, 0.0, 2.0])
     ag.backward(ag.reduce_sum(y))
     assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
-
-
-def test_sigmoid_value_and_grad():
-    x = ag.Tensor(np.array([0.0]), requires_grad=True)
-    y = ag.sigmoid(x)
-    assert y.data[0] == 0.5
-    ag.backward(ag.reduce_sum(y))
-    assert np.allclose(x.grad, [0.25])
 
 
 def test_matmul_against_hand_computation():
@@ -150,11 +144,11 @@ def test_no_grad_forward_has_no_parents():
     model = emnn.Emnn(cfg, rng=np.random.default_rng(0))
     realization = ChannelSource(cfg).instantaneous(3)
     with ag.no_grad():
-        soft = _mini_forward(model, realization, np.random.default_rng(1))
-    assert soft._parents == ()
-    assert ag.topo_order(soft) == [soft]
+        logits = _mini_forward(model, realization, np.random.default_rng(1))
+    assert logits._parents == ()
+    assert ag.topo_order(logits) == [logits]
     graded = _mini_forward(model, realization, np.random.default_rng(1))
-    assert np.array_equal(soft.data, graded.data)
+    assert np.array_equal(logits.data, graded.data)
 
 
 def test_undifferentiated_graph_is_freed():
@@ -162,22 +156,64 @@ def test_undifferentiated_graph_is_freed():
     model = emnn.Emnn(cfg, rng=np.random.default_rng(0))
     realization = ChannelSource(cfg).instantaneous(3)
     rng = np.random.default_rng(2)
-    soft = _mini_forward(model, realization, rng)
-    loss = training.bce_loss(np.zeros(soft.shape), soft)
-    refs = [weakref.ref(loss), weakref.ref(soft), weakref.ref(soft._parents[0])]
-    del soft, loss
+    logits = _mini_forward(model, realization, rng)
+    loss = training.bce_loss(np.zeros(logits.shape), logits)
+    refs = [weakref.ref(loss), weakref.ref(logits), weakref.ref(logits._parents[0])]
+    del logits, loss
     gc.collect()
     assert all(ref() is None for ref in refs)
 
 
-def test_log_clamps_and_warns():
-    x = ag.Tensor(np.array([0.0, 1.0]), requires_grad=True)
-    with pytest.warns(RuntimeWarning):
-        y = ag.log(x)
-    assert y.data[0] == np.log(ag.LOG_EPS)
-    ag.backward(ag.reduce_sum(y))
-    assert x.grad[0] == 0.0  # clamped entry passes no gradient
-    assert x.grad[1] == 1.0
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(shape=st.sampled_from([(1, 1), (5, 3), (64, 8), (1, 4, 2), (3, 16, 4)]),
+       saturated=st.sampled_from([0.0, 40.0, 60.0]), seed=st.integers(0, 2**32 - 1))
+def test_bce_with_logits_is_softplus_with_sigmoid_gradient(shape, saturated, seed):
+    """Loss softplus(z) - b z over each run's block, divided by its rows, and
+    gradient (expit(z) - b) / rows, at logits over [-60, 60] with saturated
+    ones against the opposite bit, in 2-D and stacked (R, B, n), warning-free."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-60.0, 60.0, shape)
+    b = (rng.random(shape) < 0.5).astype(float)
+    against = rng.random(shape) < 0.3
+    z[against] = np.where(b[against] == 1.0, -saturated, saturated)
+    rows = shape[-2]
+    logits = ag.Tensor(z, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = ag.bce_with_logits(logits, b)
+        ag.backward(ag.reduce_sum(loss))
+    want = (np.logaddexp(0.0, z) - b * z).sum(axis=(-2, -1)) / rows
+    assert loss.shape == shape[:-2]
+    np.testing.assert_allclose(loss.data, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(logits.grad, (expit(z) - b) / rows, rtol=1e-12, atol=0.0)
+
+
+def test_bce_with_logits_keeps_the_full_gradient_far_past_saturation():
+    """At |z| = 800, where exp(|z|) overflows, a wrong logit costs |z| and
+    keeps the gradient -+1 / rows; a right one costs 0 with gradient 0."""
+    z = np.array([[-800.0, 800.0], [800.0, -800.0]])
+    b = np.array([[1.0, 0.0], [1.0, 0.0]])
+    logits = ag.Tensor(z, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = ag.bce_with_logits(logits, b)
+        ag.backward(loss)
+    assert float(loss.data) == 800.0  # (800 + 800 + 0 + 0) / 2 rows
+    np.testing.assert_array_equal(logits.grad, [[-0.5, 0.5], [0.0, 0.0]])
+
+
+def test_loss_is_one_node_on_the_rx_dnns_last_batchnorms():
+    """bce_loss reads the forward output directly, and that output joins the
+    two RX-DNNs' last batchnorms: no op sits between a decoder and the loss."""
+    cfg = miniature_config()
+    model = emnn.Emnn(cfg, rng=np.random.default_rng(0))
+    realization = ChannelSource(cfg).instantaneous(3)
+    logits = _mini_forward(model, realization, np.random.default_rng(4))
+    loss = training.bce_loss(np.zeros(logits.shape), logits)
+    assert loss.op == "bce_with_logits"
+    assert len(loss._parents) == 1 and loss._parents[0] is logits
+    assert logits.op == "concat"
+    assert [p.op for p in logits._parents] == ["batchnorm", "batchnorm"]
 
 
 def test_softmax_rows_sum_to_one():
@@ -382,11 +418,8 @@ def _random_graph_loss(rng, params):
     running = (rng.standard_normal(h.data.shape[1]) * 0.1,
                rng.uniform(0.5, 1.5, h.data.shape[1]))
     h = ag.batchnorm(h, gamma, beta, running, training=True)
-    h = ag.sigmoid(ag.matmul(h, w2))
     target = (rng.random((x.data.shape[0], w2.data.shape[1])) > 0.5).astype(float)
-    hit = ag.hadamard(target, ag.log(h))
-    miss = ag.hadamard(1.0 - target, ag.log(ag.sub(1.0, h)))
-    return ag.scale(ag.reduce_sum(ag.add(hit, miss)), -1.0 / x.data.shape[0])
+    return ag.bce_with_logits(ag.matmul(h, w2), target)
 
 
 @pytest.mark.parametrize("case", range(4))

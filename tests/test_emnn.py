@@ -71,7 +71,7 @@ class TestParamTable:
         assert shapes["tx.w0"] == (4, 4)                 # bit input
         assert [shapes[f"tx.b{i}"] for i in range(3)] == [(4,), (4,), (8,)]
         assert shapes["theta1"] == (16,)
-        assert shapes["rx_bn2.beta"] == (4,)              # the sigmoid's width
+        assert shapes["rx_bn2.beta"] == (4,)              # the logits' width
 
     def test_model_arch_reads_the_geometry(self):
         # the per-terminal antenna counts callers read as `model.arch`
@@ -324,19 +324,13 @@ class TestChannelLayer:
 
 
 class TestRxDnn:
-    def test_outputs_strictly_inside_unit_interval(self, mini_model):
-        rng = np.random.default_rng(15)
-        y = ag.Tensor(rng.standard_normal((32, 8)) * 5.0)
-        out = emnn.rx_dnn_forward(y, mini_model.params, 1, training=True)
-        assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
-
-    def test_zero_last_scale_gives_half(self, mini):
+    def test_zero_last_scale_gives_zero_logits(self, mini):
         params = emnn.init_params(mini, np.random.default_rng(16))
         params["t1.rx_bn2.gamma"].data[:] = 0.0
         params["t1.rx_bn2.beta"].data[:] = 0.0
         y = ag.Tensor(np.random.default_rng(17).standard_normal((8, 8)))
         out = emnn.rx_dnn_forward(y, params, 1, training=True)
-        assert np.allclose(out.data, 0.5)
+        assert np.all(out.data == 0.0)
 
     def test_output_width_is_decoded_stream(self, mini_model):
         out = emnn.rx_dnn_forward(ag.Tensor(np.zeros((4, 8))),
@@ -346,23 +340,23 @@ class TestRxDnn:
 
 class TestHardDecision:
     def test_threshold(self):
-        assert np.array_equal(emnn.hard_decision(np.array([0.49, 0.51])), [0, 1])
+        assert np.array_equal(emnn.hard_decision(np.array([-0.01, 0.01])), [0, 1])
 
     def test_tie_maps_to_one(self):
-        assert emnn.hard_decision(np.array([0.5]))[0] == 1
+        assert emnn.hard_decision(np.array([0.0, -0.0])).tolist() == [1, 1]
 
     def test_vector_elementwise(self):
-        soft = np.array([[0.1, 0.9], [0.6, 0.4]])
-        assert np.array_equal(emnn.hard_decision(soft), [[0, 1], [1, 0]])
+        logits = np.array([[-2.2, 2.2], [0.4, -0.4]])
+        assert np.array_equal(emnn.hard_decision(logits), [[0, 1], [1, 0]])
 
 
 class TestForwardFull:
     def test_output_shape_and_alignment(self, mini_model, mini_realization):
         rng = np.random.default_rng(18)
         bits = rng.integers(0, 2, (8, 8)).astype(float)
-        soft = mini_model.forward(bits, np.full(8, 20.0), mini_realization,
-                                  ch.receiver_noise(mini_model.config, 8, rng))
-        assert soft.data.shape == (8, 8)
+        logits = mini_model.forward(bits, np.full(8, 20.0), mini_realization,
+                                    ch.receiver_noise(mini_model.config, 8, rng))
+        assert logits.data.shape == (8, 8)
 
     def test_deterministic_given_state(self, mini, mini_realization):
         def once():
@@ -408,18 +402,18 @@ class TestForwardFull:
         for epoch in range(600):
             blocks = [training.sample_batch(rng, cfg) for rng in rngs]
             bits = np.stack([block.bits for block in blocks])
-            soft = model.forward(bits, np.stack([block.power_dbm for block in blocks]),
-                                 reals, noiseless)
-            losses = training.bce_loss(bits, soft)
+            logits = model.forward(bits, np.stack([block.power_dbm for block in blocks]),
+                                   reals, noiseless)
+            losses = training.bce_loss(bits, logits)
             ag.backward(ag.reduce_sum(losses))
             opt.step(0.01)
         # the lowest final loss, the earliest seed on a tie
         best_model = emnn.Emnn(cfg, params=model.params.run(int(np.argmin(losses.data))))
         rng = np.random.default_rng(99)
         bits = rng.integers(0, 2, (512, 4)).astype(float)
-        soft = best_model.forward(bits, np.full(512, 30.0), real,
-                                  [np.zeros((512, 4), complex)] * 2, training=False)
-        assert np.array_equal(emnn.hard_decision(soft), bits.astype(np.int64))
+        logits = best_model.forward(bits, np.full(512, 30.0), real,
+                                    [np.zeros((512, 4), complex)] * 2, training=False)
+        assert np.array_equal(emnn.hard_decision(logits), bits.astype(np.int64))
 
 
 def lopsided_config():
@@ -452,8 +446,6 @@ class TestOperatorFirst:
         real = ch.ChannelSource(cfg).instantaneous(41)
         batch = 24
         bits = rng.integers(0, 2, (batch, cfg.total_bits)).astype(float)
-        # low powers keep the untrained decoder's sigmoid out of saturation
-        # in eval mode, so no gradient is cut by the clamped log
         power = rng.uniform(-30.0, -10.0, batch)
         noise_var = ch.dbm_to_watt(cfg.channel.noise_dbm)
         noise = [ch.draw_noise(noise_var, (batch, a), rng)
@@ -463,18 +455,18 @@ class TestOperatorFirst:
         for oracle in (False, True):
             model = emnn.Emnn(cfg, params=params.copy())
             if oracle:
-                soft = batch_first_forward(model, bits, power, real, train_mode,
-                                           noise)
+                logits = batch_first_forward(model, bits, power, real, train_mode,
+                                             noise)
             else:
-                soft = model.forward(bits, power, real, training=train_mode,
-                                     noise_override=noise)
-            ag.backward(training.bce_loss(bits, soft))
+                logits = model.forward(bits, power, real, training=train_mode,
+                                       noise_override=noise)
+            ag.backward(training.bce_loss(bits, logits))
             grads = {k: t.grad.copy()
                      for k, t in model.params.tensors.items()}
-            results.append((soft.data, grads))
-        (soft, grads), (want, want_grads) = results
+            results.append((logits.data, grads))
+        (logits, grads), (want, want_grads) = results
 
-        assert np.linalg.norm(soft - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(logits - want) <= 1e-12 * np.linalg.norm(want)
         assert grads.keys() == want_grads.keys()
         for name, g in want_grads.items():
             scale = max(np.linalg.norm(g), 1e-300)
@@ -493,9 +485,9 @@ class TestOperatorFirst:
             monkeypatch.setattr(emnn, name, record)
         rng = np.random.default_rng(43)
         bits = rng.integers(0, 2, (batch, model.config.total_bits)).astype(float)
-        soft = model.forward(bits, np.full(batch, 25.0), realization,
-                             ch.receiver_noise(model.config, batch, rng))
-        ag.backward(training.bce_loss(bits, soft))
+        logits = model.forward(bits, np.full(batch, 25.0), realization,
+                               ch.receiver_noise(model.config, batch, rng))
+        ag.backward(training.bce_loss(bits, logits))
         monkeypatch.undo()
         seen, shapes = set(), []
         for out in outputs:
@@ -536,16 +528,16 @@ class TestRunAxis:
         noise = [ch.draw_noise(ch.dbm_to_watt(cfg.channel.noise_dbm), (3, batch, n), rng)
                  for n in cfg.geometry.rx_antennas]
         stacked = emnn.Emnn(cfg, params=emnn.ParamStore.stack(runs))
-        soft = stacked.forward(bits, power, ch.ChannelRealization.stack(realizations),
-                               training=train_mode, noise_override=noise)
-        ag.backward(ag.reduce_sum(training.bce_loss(bits, soft)))
+        logits = stacked.forward(bits, power, ch.ChannelRealization.stack(realizations),
+                                 training=train_mode, noise_override=noise)
+        ag.backward(ag.reduce_sum(training.bce_loss(bits, logits)))
         grads = stacked.params.flat_grad()
         for r, params in enumerate(runs):
             one = emnn.Emnn(cfg, params=params).forward(
                 bits[r], power[r], realizations[r], training=train_mode,
                 noise_override=[n[r] for n in noise])
             ag.backward(training.bce_loss(bits[r], one))
-            assert np.array_equal(soft.data[r], one.data)
+            assert np.array_equal(logits.data[r], one.data)
             assert np.array_equal(stacked.params.stats[r], params.stats)
             assert np.array_equal(grads[r], params.flat_grad())
 
@@ -571,9 +563,9 @@ class TestGraphContract:
         rng = np.random.default_rng(43)
         bits = rng.integers(0, 2, (32, mini.total_bits)).astype(float)
         model = emnn.Emnn(mini, params=params)
-        soft = model.forward(bits, np.full(32, 20.0), mini_realization,
-                             ch.receiver_noise(mini, 32, rng))
-        return training.bce_loss(bits, soft)
+        logits = model.forward(bits, np.full(32, 20.0), mini_realization,
+                               ch.receiver_noise(mini, 32, rng))
+        return training.bce_loss(bits, logits)
 
     def test_one_relu_node_per_dense_layer(self, mini, mini_model, mini_realization):
         loss = self.mini_loss(mini, mini_realization, mini_model.params.copy())

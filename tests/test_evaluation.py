@@ -92,9 +92,9 @@ class TestEvaluate:
         decided = emnn.hard_decision
         recorded = []
 
-        def spy(soft):
-            recorded.append(soft.requires_grad or soft._parents != ())
-            return decided(soft)
+        def spy(logits):
+            recorded.append(logits.requires_grad or logits._parents != ())
+            return decided(logits)
 
         monkeypatch.setattr(emnn, "hard_decision", spy)
         got = ev.evaluate(model, real, 20.0, 500, np.random.default_rng(9),
@@ -105,10 +105,10 @@ class TestEvaluate:
         errors = counted = 0
         for n in (256, 244):
             bits = rng.integers(0, 2, (n, quick_config.total_bits)).astype(float)
-            soft = model.forward(bits, np.full(n, 20.0), real,
-                                 receiver_noise(quick_config, n, rng), training=False)
-            assert soft.requires_grad  # a graph-recording forward
-            e, t, _ = ev.ber(bits, emnn.hard_decision(soft))
+            logits = model.forward(bits, np.full(n, 20.0), real,
+                                   receiver_noise(quick_config, n, rng), training=False)
+            assert logits.requires_grad  # a graph-recording forward
+            e, t, _ = ev.ber(bits, emnn.hard_decision(logits))
             errors += e
             counted += t
         assert got == (errors, counted, errors / counted)
