@@ -5,8 +5,9 @@ node, `grad` holds dL/dRe + j dL/dIm (the CR-calculus convention of
 Kreutz-Delgado, "The Complex Gradient Operator and the CR-Calculus",
 arXiv:0906.4835); under it a linear map backpropagates through its
 conjugate transpose. Real and complex nodes meet only in `phase_shift`
-(real phases) and in `to_complex` / `to_pair`, which cross between complex
-fields and the paired real rows [re | im] of the digital networks.
+(real phases) and in `to_complex` / `to_pair` / `receive`, which cross
+between complex fields and the paired real rows [re | im] of the digital
+networks.
 
 Graph walk. `backward` walks `topo_order(loss)` in reverse, so a node passes
 its gradient on only after every node that reads it has added its own. A
@@ -17,7 +18,11 @@ Lazy gradients. `backward` first clears the gradient of every node it will
 walk; a node's first contribution then becomes its gradient, and later ones
 are added out of place with `accumulate`. Nothing is allocated for a node
 that no gradient reaches, and a gradient may share its buffer with another
-node's, so treat gradients as read-only.
+node's, so treat gradients as read-only. Once an interior node (an op
+result) has passed its gradient on, the walk sets its `grad` back to None,
+so a step holds its leaves' gradients and the node values, not one gradient
+per node. Every node keeps its data, parents and backward closure, so a
+graph can be walked again.
 
 No-grad scope. Inside `with no_grad():` ops compute values only: their
 results keep no parents and no backward closure.
@@ -197,8 +202,9 @@ def backward(loss):
     """Reverse-accumulate gradients of a scalar loss into the graph's leaves.
 
     Gradients are cleared on every node of `topo_order(loss)`, leaves
-    included, then accumulated walking it in reverse. The walk is fixed for
-    a fixed graph, so gradients are bit-deterministic.
+    included, then accumulated walking it in reverse; each interior node's
+    is released once it has been passed on, so only the leaves' remain. The
+    walk is fixed for a fixed graph, so gradients are bit-deterministic.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -209,6 +215,7 @@ def backward(loss):
     for node in reversed(nodes):
         if node.grad is not None and node._backward is not None:
             node._backward(node)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +308,10 @@ def reduce_sum(a, axis=None):
 
 def relu(a):
     a = _lift(a)
-    mask = a.data > 0
     def bw(out):
         if a.requires_grad:
-            accumulate(a, out.grad * mask)
-    return _result(np.where(mask, a.data, 0.0), (a,), bw, op="relu")
+            accumulate(a, out.grad * (out.data > 0))
+    return _result(np.where(a.data > 0, a.data, 0.0), (a,), bw, op="relu")
 
 
 def dense_relu(x, w, b):
@@ -315,16 +321,15 @@ def dense_relu(x, w, b):
     x, w, b = _lift(x), _lift(w), _lift(b)
     pre = x.data @ w.data
     pre += _rows(b.data, pre)
-    mask = pre > 0
     def bw(out):
-        dz = out.grad * mask
+        dz = out.grad * (out.data > 0)
         if x.requires_grad:
             accumulate(x, dz @ w.data.swapaxes(-1, -2))
         if w.requires_grad:
             accumulate(w, x.data.swapaxes(-1, -2) @ dz)
         if b.requires_grad:
             accumulate(b, _unbroadcast(dz, b.data.shape))
-    return _result(np.where(mask, pre, 0.0), (x, w, b), bw, op="relu")
+    return _result(np.where(pre > 0, pre, 0.0), (x, w, b), bw, op="relu")
 
 
 def bce_with_logits(z, bits):
@@ -516,6 +521,28 @@ def to_pair(z):
             accumulate(z, out.grad[..., :n] + 1j * out.grad[..., n:])
     return _result(np.concatenate([z.data.real, z.data.imag], axis=-1), (z,), bw,
                    op="to_pair")
+
+
+def receive(x, h, noise, gain):
+    """Paired real rows [re | im] of (x h + noise) gain, as one node with the
+    arithmetic of matmul, to_pair, the add of the paired noise and scale.
+    The complex add is the paired add, component by component; `noise` is a
+    constant, the received field's shape."""
+    x, h = _lift(x), _lift(h)
+    gain = float(gain)
+    z = x.data @ h.data
+    z += noise
+    n = z.shape[-1]
+
+    def bw(out):
+        g = gain * out.grad
+        g = g[..., :n] + 1j * g[..., n:]
+        if x.requires_grad:
+            accumulate(x, g @ h.data.conj().swapaxes(-1, -2))
+        if h.requires_grad:
+            accumulate(h, x.data.conj().swapaxes(-1, -2) @ g)
+    return _result(np.concatenate([z.real, z.imag], axis=-1) * gain, (x, h), bw,
+                   op="receive")
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,9 @@ class Emnn:
         channel -> rx stack compose, per receiver q, the transposed
         antenna-to-antenna operator H_q^T (see the module docstring), which
         maps the batch's joint complex signal (x1, x2) to the receive
-        antennas in one matmul. Receiver noise, the front-end gain and the
-        RX-DNNs then act on the paired batch.
+        antennas in one matmul, which one `receive` node fuses with the
+        receiver noise, the front-end gain and the move to paired rows for
+        the RX-DNNs.
 
         The forward draws nothing: `noise_override` is the receiver noise,
         one complex array per terminal (channel.receiver_noise draws it).
@@ -391,10 +392,8 @@ class Emnn:
         for q, f_q in zip((1, 2), fields):
             h_q = rx_sim_forward(f_q, self.rx_factors[q - 1],
                                  self.params.layers(q, "xi"))
-            r_q = ag.add(ag.to_pair(ag.matmul(joint, h_q)),
-                         wf.complex_to_pair(noise_override[q - 1]))
-            received.append(rx_dnn_forward(ag.scale(r_q, self.rx_scale),
-                                           self.params, q, training))
+            r_q = ag.receive(joint, h_q, noise_override[q - 1], self.rx_scale)
+            received.append(rx_dnn_forward(r_q, self.params, q, training))
         # terminal 2 outputs the estimate of stream 1 and vice versa
         return ag.concat([received[1], received[0]], axis=-1)
 

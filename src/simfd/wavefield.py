@@ -93,6 +93,10 @@ def stack_factors(geom, antenna_grid, unit_grid, layers):
 
 
 def complex_to_pair(matrix):
-    """Complex rows (..., n) as paired real rows [re | im] (..., 2n)."""
+    """Complex rows (..., n) as paired real rows [re | im] (..., 2n).
+
+    simfd itself does not call it: `autograd.receive` adds the receiver
+    noise as a complex field. It stays for the benchmark's tracer, which
+    counts its calls as `wavefield.pair_splits`."""
     matrix = np.asarray(matrix, dtype=complex)
     return np.concatenate([matrix.real, matrix.imag], axis=-1)

@@ -10,7 +10,8 @@ from scipy.special import expit
 import simfd.autograd as ag
 import simfd.emnn as emnn
 import simfd.training as training
-from simfd.channel import ChannelSource, receiver_noise
+import simfd.wavefield as wf
+from simfd.channel import ChannelRealization, ChannelSource, receiver_noise
 from simfd.config import miniature_config
 from paired_real import complex_matmul, phase_diag_apply
 
@@ -493,6 +494,61 @@ def test_dense_relu_is_the_three_ops():
             results.append([y.data] + [t.grad for t in leaves])
         for fused, chain in zip(results[1], results[0]):
             assert fused.tobytes() == chain.tobytes()
+
+
+def test_receive_is_the_four_op_chain():
+    # value and both gradients bit for bit: one run, and one stack of runs
+    # whose operator h is per run
+    rng = np.random.default_rng(14)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for lead in ((), (3,)):
+        x, h = cplx(*lead, 32, 6), cplx(*lead, 6, 4)
+        noise, g = cplx(*lead, 32, 4), rng.standard_normal(lead + (32, 8))
+
+        def chain(x, h):
+            pair = ag.to_pair(ag.matmul(x, h))
+            return ag.scale(ag.add(pair, wf.complex_to_pair(noise)), 3.7)
+
+        results = []
+        for op in (chain, lambda x, h: ag.receive(x, h, noise, 3.7)):
+            leaves = [ag.Tensor(v.copy(), requires_grad=True) for v in (x, h)]
+            y = op(*leaves)
+            ag.backward(ag.reduce_sum(ag.hadamard(y, g)))
+            results.append([y.data] + [t.grad for t in leaves])
+        for fused, chain_result in zip(results[1], results[0]):
+            assert fused.tobytes() == chain_result.tobytes()
+
+
+def test_backward_keeps_only_the_leaves_gradients():
+    # a mini loss of three stacked runs: the trainables get their gradients,
+    # every interior node lets go of its own but keeps its data and parents,
+    # and a second walk gives the same bits
+    cfg = miniature_config()
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    model = emnn.Emnn(cfg, params=emnn.ParamStore.stack(
+        [emnn.init_params(cfg, rng) for rng in rngs]))
+    source = ChannelSource(cfg)
+    realization = ChannelRealization.stack([source.instantaneous(s) for s in range(3)])
+    bits = rngs[0].integers(0, 2, (3, 16, cfg.total_bits)).astype(float)
+    noise = [np.stack(n) for n in zip(*(receiver_noise(cfg, 16, rng) for rng in rngs))]
+    logits = model.forward(bits, np.full((3, 16), 25.0), realization, noise)
+    loss = ag.reduce_sum(training.bce_loss(bits, logits))
+    nodes = ag.topo_order(loss)
+    interior = [node for node in nodes if node._backward is not None]
+    kept = [(node.data, node._parents) for node in interior]
+    leaves = [node for node in nodes if node.requires_grad and node._backward is None]
+    assert {id(t) for t in leaves} == {id(t) for t in model.params.trainables()}
+    ag.backward(loss)
+    assert all(leaf.grad is not None for leaf in leaves)
+    assert all(node.grad is None for node in interior)
+    assert all(node.data is data and node._parents == parents
+               for node, (data, parents) in zip(interior, kept))
+    first = [leaf.grad.tobytes() for leaf in leaves]
+    ag.backward(loss)
+    assert [leaf.grad.tobytes() for leaf in leaves] == first
 
 
 def test_normalize_streams_gradients_match_finite_differences():
