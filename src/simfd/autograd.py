@@ -294,16 +294,13 @@ def slice_axis(a, axis, start, length):
     return _result(a.data[idx].copy(), (a,), bw, op="slice")
 
 
-def reduce_sum(a, axis=None):
+def reduce_sum(a):
     a = _lift(a)
     def bw(out):
         if a.requires_grad:
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
             # a writable copy: the read-only broadcast view must not become a.grad
-            accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-    return _result(a.data.sum(axis=axis), (a,), bw, op="reduce_sum")
+            accumulate(a, np.broadcast_to(out.grad, a.data.shape).copy())
+    return _result(a.data.sum(), (a,), bw, op="reduce_sum")
 
 
 def relu(a):

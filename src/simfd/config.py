@@ -266,7 +266,10 @@ def _int(value):
 
 
 def _real(value):
-    """A finite real number, kept as given so integer powers keep the digest."""
+    """A finite real number, kept as given so integer powers keep the digest;
+    a numeric string becomes its float."""
+    if isinstance(value, str):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
         raise ValueError(f"not a finite number: {value!r}")
@@ -274,7 +277,7 @@ def _real(value):
 
 
 def _float(value):
-    return _real(float(value)) if isinstance(value, str) else float(_real(value))
+    return float(_real(value))
 
 
 def _exact(kind):

@@ -88,9 +88,7 @@ class ParamStore:
     """All of one run's state, laid out by its table, or that of an
     ensemble of R runs stacked on a leading run axis.
 
-    - `flat`: every trainable, the decayed tensors first in table order,
-      then the rest, so weight decay covers its prefix `flat[..., :decayed]`;
-      `tensors` are views into it, in table order.
+    - `flat`: every trainable, in table order; `tensors` are views into it.
     - `stats`: the batchnorm running means and variances, one (mean, var)
       pair per `rx_bn{i}.gamma` row, in table order; `running` maps each
       layer `t{q}.rx_bn{i}` to its pair of views.
@@ -106,10 +104,8 @@ class ParamStore:
 
     def __init__(self, table, flat=None, stats=None, m=None, v=None, step=0):
         self.table = table
-        order = [row for row in table if row[2]] + [row for row in table if not row[2]]
-        self.decayed = sum(math.prod(shape) for _, shape, decay, _ in table if decay)
         self._spans, offset = {}, 0
-        for name, shape, _, _ in order:
+        for name, shape, _, _ in table:
             self._spans[name] = slice(offset, offset + math.prod(shape))
             offset += math.prod(shape)
         self.flat = np.zeros(offset) if flat is None else flat
@@ -118,7 +114,6 @@ class ParamStore:
         self.step = step
         self.tensors = {name: ag.Tensor(view, requires_grad=True, name=name)
                         for name, view in self.views(self.flat).items()}
-        self._order = [self.tensors[name] for name in self._spans]
         bns = [(name.removesuffix(".gamma"), shape[0])
                for name, shape, _, _ in table if name.endswith(".gamma")]
         self.stats = np.zeros(2 * sum(w for _, w in bns)) if stats is None else stats
@@ -197,7 +192,7 @@ class ParamStore:
         """Every tensor's gradient in buffer layout; zeros where none arrived."""
         rows = self.flat.shape[:-1] + (-1,)
         return np.concatenate([(t.grad if t.grad is not None else np.zeros(t.shape))
-                               .reshape(rows) for t in self._order], axis=-1)
+                               .reshape(rows) for t in self.tensors.values()], axis=-1)
 
     def copy(self):
         return ParamStore(self.table, self.flat.copy(), self.stats.copy(),

@@ -10,6 +10,7 @@ history is additionally emitted as CSV next to the checkpoint.
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -60,7 +61,8 @@ def _bias(beta, step):
 def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                weight_decay=0.0):
     """One decoupled-weight-decay Adam update, in place on `data`, `m`, `v`;
-    with per-run steps (R,), the arrays hold one run per row."""
+    with per-run steps (R,), the arrays hold one run per row. `weight_decay`
+    is one rate or one per element of a row."""
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
@@ -68,9 +70,7 @@ def adamw_step(data, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8,
     m_hat = m / _bias(beta1, step)
     v_hat = v / _bias(beta2, step)
     update = m_hat / (np.sqrt(v_hat) + eps)
-    if weight_decay:
-        update = update + weight_decay * data
-    data -= lr * update
+    data -= lr * (update + weight_decay * data)
 
 
 class AdamW:
@@ -78,17 +78,18 @@ class AdamW:
 
     Steps the store's flat buffer, its moments `m` and `v` and its step count
     in place; an ensemble store steps all its runs at once. Weight decay
-    covers the buffer's decayed prefix (the weight matrices); phase vectors,
-    biases and batchnorm parameters are excluded from it. A non-finite
-    gradient anywhere raises TrainingDiverged, naming the runs at fault,
-    before any of the store moves. `params` may be replaced by a store of
-    the same table.
+    covers the table's decayed rows (the weight matrices), read once as one
+    rate per element of the buffer; phase vectors, biases and batchnorm
+    parameters are excluded from it. A non-finite gradient anywhere raises
+    TrainingDiverged, naming the runs at fault, before any of the store
+    moves. `params` may be replaced by a store of the same table.
     """
 
     def __init__(self, params, weight_decay=1e-4):
         self.params = params
-        decayed = params.decayed
-        self._spans = ((slice(0, decayed), weight_decay), (slice(decayed, None), 0.0))
+        table = params.table
+        self._decay = np.repeat([weight_decay if decay else 0.0 for _, _, decay, _ in table],
+                                [math.prod(shape) for _, shape, _, _ in table])
 
     def step(self, lr):
         params = self.params
@@ -101,9 +102,8 @@ class AdamW:
                                    np.flatnonzero(~finite))
         # rebound, not incremented in place: copies may share a run's steps
         params.step = params.step + 1
-        for span, wd in self._spans:
-            adamw_step(params.flat[..., span], grad[..., span], params.m[..., span],
-                       params.v[..., span], params.step, lr, weight_decay=wd)
+        adamw_step(params.flat, grad, params.m, params.v, params.step, lr,
+                   weight_decay=self._decay)
 
 
 def lr_schedule(epoch, train_config):
@@ -279,7 +279,7 @@ def _assemble_checkpoint(header, payload):
 # training loops
 # ---------------------------------------------------------------------------
 
-def _step(model, opt, draws, lr):
+def train_step(model, opt, draws, lr):
     """One forward, BCE, backward and AdamW step of an ensemble on its runs'
     (realization, batch, noise) draws: (the per-run losses, a mask of the
     runs whose loss or gradient is non-finite). With any such run, no run moves:
@@ -340,7 +340,7 @@ def fit(model, rngs, epochs, lr_at, realization_at):
         # drop the last step's graph before this step's forward: the two
         # graphs are never held at once, which keeps the peak down
         losses = None
-        losses, bad = _step(model, opt, draws, lr)
+        losses, bad = train_step(model, opt, draws, lr)
         while bad.any():
             for position in np.flatnonzero(bad):
                 finish(position, True)
@@ -350,7 +350,7 @@ def fit(model, rngs, epochs, lr_at, realization_at):
                 break
             model.params = opt.params = emnn.ParamStore.stack(
                 [opt.params.run(i) for i in keep])
-            losses, bad = _step(model, opt, draws, lr)
+            losses, bad = train_step(model, opt, draws, lr)
         for r, value in zip(live, losses.data):
             history[r].append((epoch, float(value), lr))
     for position in range(len(live)):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,16 +138,17 @@ class TestParamStore:
                "mini-power": replace(miniature_config(), trainable_power=True)}[case]
         assert init_digest(cfg) == self.INIT_DIGESTS[case]
 
-    def test_tensors_view_one_buffer_decayed_first(self, mini):
+    def test_tensors_view_one_buffer_in_table_order(self, mini):
         params = emnn.init_params(mini, np.random.default_rng(2))
-        assert params.flat.size == sum(t.size for t in params.trainables())
-        prefix = params.flat[:params.decayed]
-        for name, _, decay, _ in params.table:
-            t = params[name]
-            assert np.shares_memory(t.data, params.flat)
-            assert np.shares_memory(t.data, prefix) == decay
-        assert params.decayed == sum(t.size for n, t in params.tensors.items()
-                                     if ".w" in n)
+        params.flat[:] = np.arange(params.flat.size)
+        offset = 0
+        for name, shape, _, _ in params.table:
+            size = math.prod(shape)
+            assert np.shares_memory(params[name].data, params.flat)
+            assert np.array_equal(params[name].data,
+                                  np.arange(offset, offset + size).reshape(shape))
+            offset += size
+        assert offset == params.flat.size
 
     def test_copy_is_independent(self, mini_model):
         params = mini_model.params

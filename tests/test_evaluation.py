@@ -572,6 +572,18 @@ class TestConfigFile:
         sweep = config_from_dict(doc).evaluation.power_sweep_dbm
         assert sweep == (20, 30.0) and isinstance(sweep[0], int)
 
+    def test_numeric_string_power_sweep_is_a_float(self, quick_config):
+        from simfd.config import config_from_dict
+        doc = quick_config.to_dict()
+        doc["evaluation"]["power_sweep_dbm"] = ["7", 30]
+        sweep = config_from_dict(doc).evaluation.power_sweep_dbm
+        assert sweep == (7.0, 30) and isinstance(sweep[0], float)
+        assert isinstance(sweep[1], int)
+        for entry in ("nan", "1e400", "x"):
+            doc["evaluation"]["power_sweep_dbm"] = [20.0, entry]
+            with pytest.raises(ConfigError):
+                config_from_dict(doc)
+
     def test_optional_finetune_fields_are_coerced(self, quick_config):
         from simfd.config import config_from_dict
         doc = quick_config.to_dict()

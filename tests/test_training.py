@@ -167,7 +167,8 @@ class TestAdamW:
         assert all(np.shares_memory(p.data, params.flat) for p in tensors)
 
     def test_non_finite_gradient_names_the_tensor(self):
-        # the decayed tensor a precedes b in the buffer; neither may move
+        # the decayed tensor a precedes b in the table and the buffer;
+        # neither may move
         params = store(("a", np.ones(2), True), ("b", np.ones(3), False))
         params["a"].grad = np.ones(2)
         params["b"].grad = np.array([0.0, np.inf, 0.0])

@@ -6,8 +6,8 @@ and what it still holds after the step returns, the loss graph kept alive
 as `fit` keeps it until the next step. Both are counted from what was
 allocated just before the step. The steps are `reference` at R = 1 and at
 R = 10, and `mini` at R = 15: R runs stacked on pinned realizations, as
-`monte_carlo_eval` fine-tunes them. A step is the body of `fit`'s step
-through public names: forward, BCE, backward and one AdamW update.
+`monte_carlo_eval` fine-tunes them. A step is `training.train_step`, the
+step `fit` takes: forward, BCE, backward and one AdamW update.
 
 Run it against two trees and compare the tables:
 
@@ -22,24 +22,10 @@ import tracemalloc
 import numpy as np
 
 from simfd import autograd, emnn, training
-from simfd.channel import ChannelRealization, ChannelSource, receiver_noise
+from simfd.channel import ChannelSource, receiver_noise
 from simfd.config import miniature_config, reference_config
 
 MIB = 2.0 ** 20
-
-
-def step(model, opt, draws, lr):
-    """One training step of an ensemble on its runs' (realization, batch,
-    noise) draws; returns the per-run losses, which keep the graph alive."""
-    realizations, blocks, noise = zip(*draws)
-    bits = np.stack([b.bits for b in blocks])
-    logits = model.forward(bits, np.stack([b.power_dbm for b in blocks]),
-                           ChannelRealization.stack(realizations), training=True,
-                           noise_override=[np.stack(n) for n in zip(*noise)])
-    losses = training.bce_loss(bits, logits)
-    autograd.backward(autograd.reduce_sum(losses))
-    opt.step(lr)
-    return losses
 
 
 def census(config, runs):
@@ -54,12 +40,12 @@ def census(config, runs):
               receiver_noise(config, config.training.batch_size, rng))
              for seed, rng in enumerate(rngs)]
     lr = config.training.finetune_learning_rate
-    step(model, opt, draws, lr)  # warm-up; its graph is dropped here
+    training.train_step(model, opt, draws, lr)  # warm-up; its graph is dropped here
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        losses = step(model, opt, draws, lr)
+        losses, _ = training.train_step(model, opt, draws, lr)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
